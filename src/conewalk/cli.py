@@ -22,6 +22,7 @@ from .model import load_model
 
 DEFAULT_HORIZON = 120
 DEFAULT_KMAX = 30
+A_INF_HORIZON = 100  # a_inf comes from the escape bounds at horizons 0..100
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -47,64 +48,74 @@ def _parse_target(raw: str):
     return tuple(int(c) for c in raw.split(","))
 
 
-def _survival_with_verdict(model, analysis, horizon, kmax):
-    seq = exact_dp.survival_sequence(model, horizon)
-    a_inf = None
+def _survival_verdict(seq, analysis, bounds, kmax):
+    """Recurrence verdict on the survival terms; with escape bounds, a_inf is
+    the midpoint of the best interval over horizons 0..A_INF_HORIZON."""
     rho = analysis.rho if analysis is not None else None
-    if (analysis is not None
-            and analysis.classification is DriftClass.INTERIOR
-            and model.small_step and not model.trapped):
-        bounds = exact_dp.escape_probability_bounds(model, min(horizon, 100))
-        lo, hi = bounds.best
+    a_inf = None
+    if bounds is not None:
+        head = bounds.intervals[:A_INF_HORIZON + 1]
+        lo = max(l for l, _ in head)
+        hi = min(h for _, h in head)
         a_inf = float(lo + hi) / 2.0
         rho = None  # decay rate of the two-term remainder is not L(t0)
+    if rho is None and len(seq.terms) < seqlab.MIN_RATE_TERMS:
+        rho = 1.0  # too few terms to estimate a rate from the sequence
     needed = 2 * kmax + seqlab.MIN_EXTRA_TERMS
     if len(seq.terms) < needed:
         kmax = max((len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2, 1)
-    verdict = seqlab.sequence_verdict(
-        seq.terms, kmax,
-        rho=rho if len(seq.terms) >= 32 or rho is not None else 1.0,
-        a_inf=a_inf,
-    )
-    return seq, verdict
+    return seqlab.sequence_verdict(seq.terms, kmax, rho=rho, a_inf=a_inf)
 
 
 def run_report(argv) -> tuple[dict, int]:
     """Execute a CLI invocation; returns (report document, exit code)."""
     args = _parser().parse_args(argv)
+    command = args.command
     try:
         model = load_model(args.model, normalize=args.normalize)
         horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
         doc = report.base_report(model)
-        sequences: dict = {}
+        sequences: dict[str, exact_dp.ExactSequence] = {}
         verdicts: dict = {}
-        doc["sequences"] = sequences
-        doc["verdicts"] = verdicts
-        csv_payload = None
 
-        analysis = None
-        if args.command in ("analyze", "rho", "simulate", "excursion"):
-            analysis = laplace.analyze(model.dist, model.cone)
-            doc["laplace"] = report.laplace_block(analysis)
+        bounds_model = model.small_step and not model.trapped and model.cone.is_orthant
+        analysis = None  # bounds runs Laplace only on models it accepts
+        if command != "bounds" or bounds_model:
+            try:
+                analysis = laplace.analyze(model.dist, model.cone)
+                doc["laplace"] = report.laplace_block(analysis)
+            except ConewalkError:
+                if command not in ("enumerate", "guess"):
+                    raise
+        bounds_apply = (bounds_model and analysis is not None
+                        and analysis.classification is DriftClass.INTERIOR)
+        if command == "bounds" and not bounds_apply:
+            raise ConewalkError("escape bounds need a small-step, non-trapped "
+                                "orthant model with interior drift")
 
-        if args.command in ("analyze", "enumerate", "guess"):
-            if args.command != "analyze" and analysis is None:
-                try:
-                    analysis = laplace.analyze(model.dist, model.cone)
-                    doc["laplace"] = report.laplace_block(analysis)
-                except ConewalkError:
-                    analysis = None
-            seq, verdict = _survival_with_verdict(model, analysis, horizon, args.kmax)
-            sequences["survival"] = report.sequence_block(seq)
-            verdicts["survival"] = report.verdict_block(verdict)
-            csv_payload = seq.to_csv()
+        # One bounds pass yields survival, a_inf and the bounds block. Past
+        # A_INF_HORIZON enumerate and guess need only a_inf: stop the bounds there.
+        survival = command in ("analyze", "enumerate", "guess")
+        report_bounds = command in ("analyze", "bounds")
+        bounds = None
+        if bounds_apply and (report_bounds or (survival and horizon <= A_INF_HORIZON)):
+            bounds = exact_dp.escape_probability_bounds(model, horizon)
+            if report_bounds:
+                doc["bounds"] = report.bounds_block(bounds)
+        if survival:
+            seq = (bounds.survival if bounds is not None
+                   else exact_dp.survival_sequence(model, horizon))
+            if bounds_apply and bounds is None:
+                bounds = exact_dp.escape_probability_bounds(model, A_INF_HORIZON)
+            sequences["survival"] = seq
+            verdicts["survival"] = report.verdict_block(
+                _survival_verdict(seq, analysis, bounds, args.kmax))
 
-        if args.command in ("analyze", "excursion") and (
-            args.target is not None or args.command == "excursion"
-        ):
+        if command == "excursion" or (command == "analyze"
+                                      and args.target is not None):
             target = _parse_target(args.target) if args.target else tuple(model.start)
             seq = exact_dp.excursion_sequence(model, target, horizon)
-            sequences["excursion"] = report.sequence_block(seq)
+            sequences["excursion"] = seq
             if analysis is not None and analysis.rho_global is not None:
                 period = seqlab.detect_period(seq.terms)
                 lo = max(horizon // 4, period or 1)
@@ -120,33 +131,20 @@ def run_report(argv) -> tuple[dict, int]:
                     }
                 except ConewalkError:
                     pass
-            csv_payload = seq.to_csv()
 
-        if args.command in ("analyze", "bounds"):
-            applicable = (model.small_step and not model.trapped
-                          and model.cone.is_orthant)
-            if applicable and analysis is None:
-                analysis = laplace.analyze(model.dist, model.cone)
-                doc["laplace"] = report.laplace_block(analysis)
-            if applicable and analysis.classification is DriftClass.INTERIOR:
-                bounds = exact_dp.escape_probability_bounds(model, horizon)
-                doc["bounds"] = report.bounds_block(bounds)
-            elif args.command == "bounds":
-                raise ConewalkError(
-                    "escape bounds need a small-step, non-trapped orthant model "
-                    "with interior drift"
-                )
-
-        if args.command in ("analyze", "simulate") and args.samples > 0:
+        if command in ("analyze", "simulate") and args.samples > 0:
             estimates = [mc.simulate_survival(
                 model, horizon, args.samples, args.seed)]
             if analysis is not None:
                 estimates.append(mc.simulate_tilted(
                     model, analysis, horizon, args.samples, args.seed))
             doc["mc"] = [report.mc_block(e) for e in estimates]
-        elif args.command == "simulate":
+        elif command == "simulate":
             raise ConewalkError("simulate needs --samples > 0")
 
+        doc["sequences"] = {name: report.sequence_block(seq)
+                            for name, seq in sequences.items()}
+        doc["verdicts"] = verdicts
         doc["assumptions"] = report.assumption_checklist(model, analysis)
         doc["regimeTags"] = report.regime_tags(model, analysis)
 
@@ -156,17 +154,14 @@ def run_report(argv) -> tuple[dict, int]:
                       encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            for name, block in sequences.items():
-                lines = ["n,numerator,denominator,value"]
-                for n, (term, fl) in enumerate(zip(block["terms"], block["floats"])):
-                    num, den = term.split("/")
-                    lines.append(f"{n},{num},{den},{fl!r}")
+            for name, seq in sequences.items():
                 with open(os.path.join(args.out, f"{name}.csv"), "w",
                           encoding="utf-8") as fh:
-                    fh.write("\n".join(lines) + "\n")
+                    fh.write(seq.to_csv())
+        # --format csv prints the last sequence: the excursion if there is one
         doc["_stdout"] = (
-            csv_payload if args.format == "csv" and csv_payload is not None
-            else None
+            list(sequences.values())[-1].to_csv()
+            if args.format == "csv" and sequences else None
         )
         return doc, 0
     except (MemoryBudgetExceeded, HorizonTooLarge) as exc:

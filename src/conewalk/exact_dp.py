@@ -62,11 +62,13 @@ class StateLayer:
 
 @dataclass(frozen=True)
 class EscapeBounds:
-    """Two-sided bounds on the escape probability, one interval per horizon."""
+    """Two-sided bounds on the escape probability, one interval per horizon,
+    with the survival sequence a_k the intervals are built from."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
     best: tuple[Fraction, Fraction]
     g_sequence: ExactSequence
+    survival: ExactSequence
 
 
 def _mem_budget() -> int:
@@ -74,23 +76,21 @@ def _mem_budget() -> int:
     return int(env) if env else DEFAULT_MEM_BUDGET
 
 
-def _budget_states(model: WalkModel, n: int) -> None:
+def _dp_bytes(model: WalkModel, n: int) -> float:
+    """Predicted DP memory at horizon n: box volume times bytes per state."""
     step_bound = max(abs(c) for v, _ in model.dist.steps for c in v)
-    den = model.dist.common_denominator
-    volume = 1
-    for x in model.start:
-        volume *= x + n * step_bound + 1
-    per_state = 120 + n * max(math.log2(den), 1.0) / 8
-    need = volume * per_state
+    volume = math.prod(x + n * step_bound + 1 for x in model.start)
+    return volume * (120 + n * max(math.log2(model.dist.common_denominator), 1.0) / 8)
+
+
+def _budget_states(model: WalkModel, n: int) -> None:
+    need = _dp_bytes(model, n)
     budget = _mem_budget()
     if need > budget:
         lo, hi = 0, n
         while lo < hi:  # largest horizon that fits
             mid = (lo + hi + 1) // 2
-            vol = 1
-            for x in model.start:
-                vol *= x + mid * step_bound + 1
-            if vol * (120 + mid * max(math.log2(den), 1.0) / 8) <= budget:
+            if _dp_bytes(model, mid) <= budget:
                 lo = mid
             else:
                 hi = mid - 1
@@ -261,10 +261,12 @@ def escape_probability_bounds(model: WalkModel, n: int) -> EscapeBounds:
     powers: dict[int, list[Fraction]] = {i: [g] for i, g in gammas.items()}
 
     intervals = []
+    a_terms = []
     g_terms = []
     for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
         a_k = Fraction(sum(layer.values()), scale)
+        a_terms.append(a_k)
         g_num = Fraction(0)
         for i, g in gammas.items():
             marg: dict[int, int] = {}
@@ -286,6 +288,7 @@ def escape_probability_bounds(model: WalkModel, n: int) -> EscapeBounds:
         raise RuntimeError(
             "escape-bound intervals do not intersect; this indicates a bug"
         )
-    g_seq = ExactSequence(tuple(g_terms), "g_functional", model.model_hash(), n)
+    h = model.model_hash()
     return EscapeBounds(intervals=tuple(intervals), best=(best_lo, best_hi),
-                        g_sequence=g_seq)
+                        g_sequence=ExactSequence(tuple(g_terms), "g_functional", h, n),
+                        survival=ExactSequence(tuple(a_terms), "survival", h, n))

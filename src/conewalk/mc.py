@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DriftNotInterior
 from .exact_dp import EscapeBounds, escape_probability_bounds
-from .laplace import DriftClass, LaplaceAnalysis, classify_drift
+from .laplace import (DriftClass, LaplaceAnalysis, classify_drift,
+                      laplace_eval, tilt_distribution)
 from .model import WalkModel
 
 N_STREAMS = 16
@@ -97,16 +98,14 @@ def _run_streams(worker, samples: int, workers: int):
     return results
 
 
-def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
-                      workers: int = 1) -> McEstimate:
-    """Plain Monte Carlo estimate of the survival probability a_n."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    steps = np.asarray([v for v, _ in model.dist.steps], dtype=np.int64)
-    table = AliasTable([float(w) for _, w in model.dist.steps])
+def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
+    """Walker loop: (stream, count) -> end positions and the mask of paths
+    that stayed in the cone for all n steps."""
+    steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
+    table = AliasTable([float(w) for _, w in weighted_steps])
     start = np.asarray(model.start, dtype=np.int64)
 
-    def worker(stream: int, count: int) -> int:
+    def walk(stream: int, count: int):
         rng = _stream_rng(seed, stream)
         pos = np.tile(start, (count, 1))
         alive = np.ones(count, dtype=bool)
@@ -114,9 +113,18 @@ def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
             idx = table.sample(rng, count)
             pos += steps[idx]
             alive &= _membership_mask(model, pos)
-        return int(alive.sum())
+        return pos, alive
 
-    hits = sum(_run_streams(worker, samples, workers))
+    return walk
+
+
+def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
+                      workers: int = 1) -> McEstimate:
+    """Plain Monte Carlo estimate of the survival probability a_n."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    walk = _walker(model, model.dist.steps, n, seed)
+    hits = sum(_run_streams(lambda s, c: int(walk(s, c)[1].sum()), samples, workers))
     p = hits / samples
     return McEstimate(
         target=f"survival({n})", mean=p,
@@ -136,7 +144,6 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if t_override is not None:
-        from .laplace import tilt_distribution, laplace_eval
         t0 = np.asarray(t_override, dtype=float)
         rho = laplace_eval(model.dist, t0)[0]
         tilted, _ = tilt_distribution(model.dist, t0)
@@ -144,19 +151,11 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
         t0 = np.asarray(analysis.t0, dtype=float)
         rho = analysis.rho
         tilted = analysis.tilted_steps
-    steps = np.asarray([v for v, _ in tilted], dtype=np.int64)
-    table = AliasTable([w for _, w in tilted])
-    start = np.asarray(model.start, dtype=np.int64)
-    prefactor = rho ** n * math.exp(float(t0 @ start))
+    walk = _walker(model, tilted, n, seed)
+    prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 
     def worker(stream: int, count: int):
-        rng = _stream_rng(seed, stream)
-        pos = np.tile(start, (count, 1))
-        alive = np.ones(count, dtype=bool)
-        for _ in range(n):
-            idx = table.sample(rng, count)
-            pos += steps[idx]
-            alive &= _membership_mask(model, pos)
+        pos, alive = walk(stream, count)
         vals = np.where(alive, np.exp(-(pos @ t0)), 0.0) * prefactor
         return float(vals.sum()), float((vals ** 2).sum())
 

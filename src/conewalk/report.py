@@ -1,4 +1,4 @@
-"""Report assembly: runs pipeline stages and serializes the results.
+"""Report blocks: serializes the results of the pipeline stages the CLI runs.
 
 Exact values are serialized as ``p/q`` strings plus a float rendering, and
 every numeric block carries a ``provenance`` marker (exact / float / mc).

@@ -24,6 +24,7 @@ from .errors import (
 )
 
 MIN_EXTRA_TERMS = 8
+MIN_RATE_TERMS = 32  # fewest terms estimate_rho fits a decay rate on
 ROOT_CLUSTER_TOL = 1e-7
 
 
@@ -184,8 +185,8 @@ class RateEstimate:
 
 def estimate_rho(terms: Sequence) -> RateEstimate:
     """Decay rate from the slope of log a_n over the last half of the terms."""
-    if len(terms) < 32:
-        raise InsufficientTerms(f"need at least 32 terms, got {len(terms)}")
+    if len(terms) < MIN_RATE_TERMS:
+        raise InsufficientTerms(f"need at least {MIN_RATE_TERMS} terms, got {len(terms)}")
     vals = [float(t) for t in terms]
     if any(v <= 0 for v in vals):
         raise NonpositiveTerm("rate estimation needs strictly positive terms")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conewalk import exact_dp, excursion_sequence, load_model, survival_sequence
 from conewalk.cli import main, run_report
 
 FIVE_STEP = {
@@ -26,6 +27,14 @@ NEG_1D = {
 }
 
 
+POS_1D = {
+    "dimension": 1,
+    "steps": [{"v": [1], "w": "3/4"}, {"v": [-1], "w": "1/4"}],
+    "cone": {"type": "orthant"},
+    "start": [0],
+}
+
+
 @pytest.fixture(scope="module")
 def five_step_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "fivestep.json"
@@ -38,6 +47,27 @@ def neg_1d_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "neg1d.json"
     path.write_text(json.dumps(NEG_1D))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def pos_1d_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "pos1d.json"
+    path.write_text(json.dumps(POS_1D))
+    return str(path)
+
+
+@pytest.fixture
+def dp_passes(monkeypatch):
+    """Horizons of the exact DP passes a run makes, in order."""
+    horizons = []
+    layers = exact_dp._integer_layers
+
+    def counted(model, n, target=None):
+        horizons.append(n)
+        return layers(model, n, target)
+
+    monkeypatch.setattr(exact_dp, "_integer_layers", counted)
+    return horizons
 
 
 class TestAnalyze:
@@ -142,6 +172,29 @@ class TestSimulate:
         assert code == 2
 
 
+class TestDpPasses:
+    def test_analyze_reads_survival_off_the_bounds_pass(self, five_step_path,
+                                                         dp_passes):
+        _, code = run_report(["analyze", "--model", five_step_path,
+                              "--horizon", "30", "--kmax", "5", "--target", "0,0"])
+        assert code == 0
+        assert dp_passes == [30, 30]  # bounds, then the pruned excursion
+
+    def test_enumerate_within_a_inf_horizon_is_one_pass(self, five_step_path,
+                                                        dp_passes):
+        _, code = run_report(["enumerate", "--model", five_step_path,
+                              "--horizon", "60"])
+        assert code == 0
+        assert dp_passes == [60]
+
+    def test_enumerate_past_a_inf_horizon(self, pos_1d_path, dp_passes):
+        # survival to the horizon, bounds only as far as a_inf needs
+        _, code = run_report(["enumerate", "--model", pos_1d_path,
+                              "--horizon", "150"])
+        assert code == 0
+        assert dp_passes == [150, 100]
+
+
 class TestErrorsAndExitCodes:
     def test_missing_file(self):
         doc, code = run_report(["analyze", "--model", "/nonexistent.json"])
@@ -186,7 +239,10 @@ class TestOutputs:
         survival = (out / "survival.csv").read_text().splitlines()
         assert survival[0] == "n,numerator,denominator,value"
         assert survival[1] == "0,1,1,1.0"
-        assert (out / "excursion.csv").exists()
+        model = load_model(five_step_path)
+        for name, seq in (("survival", survival_sequence(model, 30)),
+                          ("excursion", excursion_sequence(model, (0, 0), 30))):
+            assert (out / f"{name}.csv").read_text() == seq.to_csv()
 
     def test_csv_stdout(self, neg_1d_path, capsys):
         code = main(["enumerate", "--model", neg_1d_path, "--horizon", "10",

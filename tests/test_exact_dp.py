@@ -174,6 +174,7 @@ class TestEscapeBounds:
         # for p=3/4 the escape probability is exactly 2/3 and the interval
         # closes on it completely
         bounds = escape_probability_bounds(pos_1d, 40)
+        assert bounds.survival == survival_sequence(pos_1d, 40)
         lo, hi = bounds.best
         assert lo <= F(2, 3) <= hi
         assert float(hi - lo) < 1e-6
@@ -205,9 +206,18 @@ class TestEscapeBounds:
 
     def test_survival_minus_g_is_lower_bound(self, five_step_model):
         bounds = escape_probability_bounds(five_step_model, 25)
-        a = survival_sequence(five_step_model, 25).terms
+        survival = survival_sequence(five_step_model, 25)
+        assert bounds.survival == survival
+        a = survival.terms
         for k, (lo, _) in enumerate(bounds.intervals):
             assert lo == a[k] - bounds.g_sequence.terms[k]
+
+    def test_prefix_best_is_shorter_horizon_best(self, five_step_model):
+        full = escape_probability_bounds(five_step_model, 30)
+        for k in (0, 1, 12, 30):
+            head = full.intervals[:k + 1]
+            best = (max(lo for lo, _ in head), min(hi for _, hi in head))
+            assert best == escape_probability_bounds(five_step_model, k).best
 
 
 class TestMemoryBudget:
