@@ -17,12 +17,12 @@ from .errors import (
     HorizonTooLarge,
     MemoryBudgetExceeded,
 )
+from .exact_dp import A_INF_HORIZON
 from .laplace import DriftClass
 from .model import load_model
 
 DEFAULT_HORIZON = 120
 DEFAULT_KMAX = 30
-A_INF_HORIZON = 100  # a_inf comes from the escape bounds at horizons 0..100
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -1,7 +1,12 @@
 """Exact layer-by-layer dynamic programming over confined lattice states.
 
-Layers carry integer numerators over ``D^k`` (D = common weight denominator),
-which keeps the arithmetic exact while avoiding per-operation gcd reduction.
+Layer k is a dense numpy box over ``[0, x + k*grow]`` (x the start, grow the
+largest positive step in each coordinate): entry ``pos`` holds the confined
+mass at ``pos``.  One shift-and-add kernel advances every layer stream.  Exact
+streams use ``object`` dtype with integer numerators over ``D^k`` (D = common
+weight denominator), which keeps the arithmetic exact while avoiding
+per-operation gcd reduction; the tilted functional uses ``float64``.  Survival,
+excursion, escape-bound and state readouts are sums and slices of the box.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
+
+import numpy as np
 
 from .errors import (
     DriftNotInterior,
@@ -24,6 +31,7 @@ from .laplace import DriftClass, classify_drift, tilt_distribution
 from .model import WalkModel
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
+A_INF_HORIZON = 100  # escape bounds at horizons 0..100 estimate P(tau = inf)
 
 SequenceKind = Literal["survival", "excursion", "g_functional"]
 
@@ -76,10 +84,13 @@ def _mem_budget() -> int:
     return int(env) if env else DEFAULT_MEM_BUDGET
 
 
+def _step_bound(model: WalkModel) -> int:
+    return max(abs(c) for v, _ in model.dist.steps for c in v)
+
+
 def _dp_bytes(model: WalkModel, n: int) -> float:
     """Predicted DP memory at horizon n: box volume times bytes per state."""
-    step_bound = max(abs(c) for v, _ in model.dist.steps for c in v)
-    volume = math.prod(x + n * step_bound + 1 for x in model.start)
+    volume = math.prod(x + n * _step_bound(model) + 1 for x in model.start)
     return volume * (120 + n * max(math.log2(model.dist.common_denominator), 1.0) / 8)
 
 
@@ -100,69 +111,43 @@ def _budget_states(model: WalkModel, n: int) -> None:
         )
 
 
-def _advance(layer: dict, steps, upper=None) -> dict:
-    """One DP transition restricted to the orthant (and an optional box)."""
-    if not layer:
-        return {}
-    new: dict = {}
-    get = new.get
-    d = len(next(iter(layer)))
-    if d == 1:
-        u0 = upper[0] if upper else None
-        for (i,), mass in layer.items():
-            for (di,), c in steps:
-                ii = i + di
-                if ii >= 0 and (u0 is None or ii <= u0):
-                    key = (ii,)
-                    new[key] = get(key, 0) + c * mass
-    elif d == 2:
-        u0, u1 = (upper if upper else (None, None))
-        for (i, j), mass in layer.items():
-            for (di, dj), c in steps:
-                ii = i + di
-                jj = j + dj
-                if ii >= 0 and jj >= 0 and (u0 is None or (ii <= u0 and jj <= u1)):
-                    key = (ii, jj)
-                    new[key] = get(key, 0) + c * mass
-    else:
-        for pos, mass in layer.items():
-            for dv, c in steps:
-                q = tuple(a + b for a, b in zip(pos, dv))
-                if all(x >= 0 for x in q) and (
-                    upper is None or all(x <= u for x, u in zip(q, upper))
-                ):
-                    new[q] = get(q, 0) + c * mass
+def _advance(layer: np.ndarray, steps, grow) -> np.ndarray:
+    """One DP transition: the box grows by ``grow`` and each step v adds
+    c_v * layer[x] at x + v, for every x with x + v in the orthant."""
+    new = np.zeros([s + g for s, g in zip(layer.shape, grow)], dtype=layer.dtype)
+    for v, c in steps:
+        src = tuple(slice(max(-a, 0), s) for a, s in zip(v, layer.shape))
+        dst = tuple(slice(max(a, 0), max(s + a, 0)) for a, s in zip(v, layer.shape))
+        new[dst] += c * layer[src]
     return new
 
 
-def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[dict]:
-    """Yield layers 0..n of integer numerators over D^k.
+def _layers(model: WalkModel, n: int, steps, dtype, target=None) -> Iterator[np.ndarray]:
+    """Yield layers 0..n as boxes over [0, x + k*grow]: entry pos is the
+    confined mass at pos, under the given step weights.
 
     With a target point given, states that cannot reach the target within the
-    remaining time are pruned; this leaves every ``layer_k[target]`` intact.
+    remaining time are sliced off; this leaves every ``layer_k[target]`` intact.
     """
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
     _budget_states(model, n)
-    steps, _den = model.dist.integer_weights()
-    steps = [(v, c) for v, c in steps]
-    step_bound = max(abs(c) for v, _ in model.dist.steps for c in v)
-
-    layer = {tuple(model.start): 1}
+    grow = [max(0, *(v[i] for v, _ in steps)) for i in range(model.dimension)]
+    step_bound = _step_bound(model)
+    layer = np.zeros([x + 1 for x in model.start], dtype=dtype)
+    layer[tuple(model.start)] = 1
     yield layer
     for k in range(1, n + 1):
-        upper = None
+        layer = _advance(layer, steps, grow)
         if target is not None:
-            upper = tuple(
-                min(x + k * step_bound, y + (n - k) * step_bound)
-                for x, y in zip(model.start, target)
-            )
-        layer = _advance(layer, steps, upper)
+            layer = layer[tuple(slice(y + (n - k) * step_bound + 1) for y in target)]
         yield layer
-        if not layer:
-            for _ in range(k + 1, n + 1):
-                yield layer
-            return
+
+
+def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[np.ndarray]:
+    """Yield layers 0..n of integer numerators over D^k."""
+    steps, _den = model.dist.integer_weights()
+    return _layers(model, n, steps, object, target)
 
 
 def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
@@ -171,7 +156,8 @@ def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
     for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
         yield StateLayer(index=k, masses={
-            pos: Fraction(mass, scale) for pos, mass in layer.items()
+            pos: Fraction(layer[pos], scale)
+            for pos in map(tuple, np.argwhere(layer).tolist())
         })
 
 
@@ -179,7 +165,7 @@ def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
     """Exact survival probabilities a_0..a_n."""
     den = model.dist.common_denominator
     terms = [
-        Fraction(sum(layer.values()), den ** k)
+        Fraction(layer.sum(), den ** k)
         for k, layer in enumerate(_integer_layers(model, n))
     ]
     return ExactSequence(tuple(terms), "survival", model.model_hash(), n)
@@ -188,11 +174,14 @@ def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n."""
     y = tuple(int(c) for c in y)
+    if len(y) != model.dimension:
+        raise PointOutsideCone(f"target {y} is not a point of Z^{model.dimension}")
     if not model.cone.contains(y):
         raise PointOutsideCone(f"target {y} is outside the cone")
     den = model.dist.common_denominator
     terms = [
-        Fraction(layer.get(y, 0), den ** k)
+        Fraction(layer[y] if all(c < s for c, s in zip(y, layer.shape)) else 0,
+                 den ** k)
         for k, layer in enumerate(_integer_layers(model, n, target=y))
     ]
     return ExactSequence(tuple(terms), "excursion", model.model_hash(), n, target=y)
@@ -204,25 +193,15 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     Multiplying term k by rho^k e^{<t0,x>} reconstructs a_k; this is the
     floating-point cross-check of the exact sequences.
     """
-    if not model.cone.is_orthant:
-        raise UnsupportedCone("tilted DP supports orthant cones only")
-    _budget_states(model, n)
     tilted, _drift = tilt_distribution(model.dist, t0)
-    steps = [(v, w) for v, w in tilted]
     t0 = [float(c) for c in t0]
 
-    def readout(layer: dict) -> float:
-        return math.fsum(
-            mass * math.exp(-math.fsum(a * b for a, b in zip(t0, pos)))
-            for pos, mass in layer.items()
-        )
+    def readout(layer: np.ndarray) -> float:
+        axes = np.ogrid[tuple(slice(s) for s in layer.shape)]
+        weight = np.exp(-sum(t * a for t, a in zip(t0, axes)))
+        return math.fsum((layer * weight).ravel().tolist())
 
-    layer: dict = {tuple(model.start): 1.0}
-    out = [readout(layer)]
-    for _ in range(n):
-        layer = _advance(layer, steps)
-        out.append(readout(layer))
-    return out
+    return [readout(layer) for layer in _layers(model, n, tilted, float)]
 
 
 def _interior_smallstep_gamma(model: WalkModel) -> dict[int, Fraction]:
@@ -257,27 +236,20 @@ def escape_probability_bounds(model: WalkModel, n: int) -> EscapeBounds:
     d = model.dimension
     den = model.dist.common_denominator
 
-    # cache of gamma_i^(c+1) powers, grown on demand
-    powers: dict[int, list[Fraction]] = {i: [g] for i, g in gammas.items()}
-
     intervals = []
     a_terms = []
     g_terms = []
     for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
-        a_k = Fraction(sum(layer.values()), scale)
+        a_k = Fraction(layer.sum(), scale)
         a_terms.append(a_k)
         g_num = Fraction(0)
         for i, g in gammas.items():
-            marg: dict[int, int] = {}
-            for pos, mass in layer.items():
-                c = pos[i]
-                marg[c] = marg.get(c, 0) + mass
-            pw = powers[i]
-            top = max(marg)
-            while len(pw) <= top:
-                pw.append(pw[-1] * g)
-            g_num += sum((Fraction(m) * pw[c] for c, m in marg.items()), Fraction(0))
+            # Horner on the coordinate-i marginal m: sum_c m_c g^(c+1)
+            g_i = Fraction(0)
+            for m in layer.sum(axis=tuple(j for j in range(d) if j != i))[::-1]:
+                g_i = (g_i + m) * g
+            g_num += g_i
         g_k = g_num / scale
         g_terms.append(g_k)
         intervals.append((a_k - g_k, a_k - g_k / d))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DriftNotInterior
-from .exact_dp import EscapeBounds, escape_probability_bounds
+from .exact_dp import A_INF_HORIZON, EscapeBounds, escape_probability_bounds
 from .laplace import (DriftClass, LaplaceAnalysis, classify_drift,
                       laplace_eval, tilt_distribution)
 from .model import WalkModel
@@ -178,7 +178,7 @@ class EscapeEstimate:
 
 
 def estimate_escape(model: WalkModel, n: int, samples: int, seed: int,
-                    workers: int = 1, bounds_horizon: int | None = None) -> EscapeEstimate:
+                    workers: int = 1) -> EscapeEstimate:
     """Finite-horizon proxy for P^x(tau = infinity).
 
     The plain estimate of a_n is upper-biased by the (exponentially small)
@@ -191,5 +191,5 @@ def estimate_escape(model: WalkModel, n: int, samples: int, seed: int,
                      samples=est.samples, method="plain", seed=seed, horizon=n)
     bounds = None
     if model.small_step and not model.trapped and model.cone.is_orthant:
-        bounds = escape_probability_bounds(model, bounds_horizon or min(n, 100))
+        bounds = escape_probability_bounds(model, min(n, A_INF_HORIZON))
     return EscapeEstimate(estimate=est, bounds=bounds)

@@ -36,6 +36,29 @@ def exterior_2d():
 
 
 @pytest.fixture(scope="session")
+def big_step_2d():
+    """Quarter-plane walk with steps of size 2, started off the origin."""
+    return make_2d({(2, -1): F(1, 4), (-1, 2): F(1, 4), (-1, -1): F(1, 4),
+                    (1, 0): F(1, 4)}, start=(1, 0))
+
+
+@pytest.fixture(scope="session")
+def octant_3d():
+    """Zero-drift simple walk in the octant."""
+    steps = [tuple(s if j == i else 0 for j in range(3))
+             for i in range(3) for s in (1, -1)]
+    dist = StepDistribution(3, tuple((v, F(1, 6)) for v in steps))
+    return build_model(dist, ConeSpec.orthant(3), (0, 0, 0))
+
+
+@pytest.fixture(scope="session")
+def big_step_1d():
+    """Half-line walk with steps +2 and -3 from 2."""
+    dist = StepDistribution(1, (((2,), F(1, 2)), ((-3,), F(1, 2))))
+    return build_model(dist, ConeSpec.orthant(1), (2,))
+
+
+@pytest.fixture(scope="session")
 def trapped_2d():
     return make_2d({(1, 0): F(1, 2), (0, 1): F(1, 2)})
 

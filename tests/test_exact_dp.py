@@ -36,10 +36,12 @@ class TestSurvival:
         seq = survival_sequence(sym_1d, 3)
         assert list(seq.terms) == [F(1), F(1, 2), F(1, 2), F(3, 8)]
 
-    def test_matches_brute_force(self, five_step_model, exterior_2d, neg_1d):
-        for model in (five_step_model, exterior_2d, neg_1d):
-            seq = survival_sequence(model, 8)
-            assert list(seq.terms) == brute_force_survival(model, 8)
+    def test_matches_brute_force(self, five_step_model, exterior_2d, neg_1d,
+                                 octant_3d, big_step_2d, big_step_1d):
+        for model, n in ((five_step_model, 8), (exterior_2d, 8), (neg_1d, 8),
+                         (octant_3d, 7), (big_step_2d, 8), (big_step_1d, 8)):
+            seq = survival_sequence(model, n)
+            assert list(seq.terms) == brute_force_survival(model, n)
 
     def test_trapped_constant(self, trapped_2d):
         seq = survival_sequence(trapped_2d, 10)
@@ -100,11 +102,18 @@ class TestExcursion:
         seq = excursion_sequence(five_step_model, (0, 0), 2)
         assert list(seq.terms) == [F(1), F(0), F(2, 25)]
 
-    def test_matches_brute_force(self, five_step_model, simple_walk_2d):
-        for model in (five_step_model, simple_walk_2d):
-            for target in ((0, 0), (1, 1), (2, 0)):
-                seq = excursion_sequence(model, target, 7)
-                assert list(seq.terms) == brute_force_excursion(model, target, 7)
+    def test_matches_brute_force(self, five_step_model, simple_walk_2d,
+                                 big_step_2d, octant_3d, big_step_1d):
+        cases = [(model, target)
+                 for model in (five_step_model, simple_walk_2d, big_step_2d)
+                 for target in ((0, 0), (1, 1), (2, 0), (9, 9))]
+        cases += [(octant_3d, (0, 0, 0)), (octant_3d, (1, 0, 1)),
+                  (big_step_1d, (0,)), (big_step_1d, (3,))]
+        for model, target in cases:
+            seq = excursion_sequence(model, target, 7)
+            assert list(seq.terms) == brute_force_excursion(model, target, 7)
+            if target == (9, 9):  # not reachable in 7 steps from any start here
+                assert not any(seq.terms)
 
     def test_pruning_preserves_target_mass(self, exterior_2d):
         # the pruned DP must agree with the unpruned full layers
@@ -120,8 +129,9 @@ class TestExcursion:
         assert all(terms[k] > 0 for k in range(2, 11, 2))
 
     def test_target_outside_cone(self, five_step_model):
-        with pytest.raises(PointOutsideCone):
-            excursion_sequence(five_step_model, (0, -1), 4)
+        for target in ((0, -1), (0,), (0, 0, 0)):
+            with pytest.raises(PointOutsideCone):
+                excursion_sequence(five_step_model, target, 4)
 
     def test_unreachable_target_is_zero(self, trapped_2d):
         seq = excursion_sequence(trapped_2d, (0, 0), 4)
@@ -129,15 +139,15 @@ class TestExcursion:
 
 
 class TestTiltedFunctional:
-    def test_reconstructs_survival(self, exterior_2d):
-        an = analyze(exterior_2d.dist, exterior_2d.cone)
-        n = 40
-        func = tilted_survival_functional(exterior_2d, an.t0, n)
-        exact = survival_sequence(exterior_2d, n).floats()
-        pref = math.exp(sum(t * x for t, x in zip(an.t0, exterior_2d.start)))
-        for k in range(n + 1):
-            recon = an.rho ** k * pref * func[k]
-            assert recon == pytest.approx(exact[k], rel=1e-11)
+    def test_reconstructs_survival(self, exterior_2d, octant_3d):
+        for model, n in ((exterior_2d, 40), (octant_3d, 20)):
+            an = analyze(model.dist, model.cone)
+            func = tilted_survival_functional(model, an.t0, n)
+            exact = survival_sequence(model, n).floats()
+            pref = math.exp(sum(t * x for t, x in zip(an.t0, model.start)))
+            for k in range(n + 1):
+                recon = an.rho ** k * pref * func[k]
+                assert recon == pytest.approx(exact[k], rel=1e-11)
 
     def test_starts_at_one_from_origin(self, exterior_2d):
         an = analyze(exterior_2d.dist, exterior_2d.cone)
