@@ -89,9 +89,20 @@ def _step_bound(model: WalkModel) -> int:
 
 
 def _dp_bytes(model: WalkModel, n: int) -> float:
-    """Predicted DP memory at horizon n: box volume times bytes per state."""
+    """Predicted peak DP memory at horizon n, in bytes.
+
+    The last step holds three boxes of Python ints: its input, its output and
+    the product temporary ``c * layer[src]``; ``+=`` on a strided object view
+    also buffers up to ``np.getbufsize()`` sums before writing them back.  The
+    escape bounds keep four Fractions (eight ints) per horizon: a_k, g_k and
+    the two interval ends.  An int costs an 8-byte slot, a header with
+    allocator rounding (about 40 bytes) and 4 bytes per 30 bits of a
+    numerator below D^n.
+    """
     volume = math.prod(x + n * _step_bound(model) + 1 for x in model.start)
-    return volume * (120 + n * max(math.log2(model.dist.common_denominator), 1.0) / 8)
+    entries = 3 * volume + min(volume, np.getbufsize()) + 8 * (n + 1)
+    bits = n * max(math.log2(model.dist.common_denominator), 1.0)
+    return entries * (48 + bits / 7.5)
 
 
 def _budget_states(model: WalkModel, n: int) -> None:

@@ -3,6 +3,13 @@
 Sampling is split over a fixed set of counter-based substreams (Philox keyed
 by (seed, stream index)), so the estimate is bit-identical regardless of how
 many workers process the streams.
+
+Stream invariant: a stream of ``count`` walkers draws ``2*count`` uniforms per
+step (``count`` for the alias column, then ``count`` for the accept test),
+walker ``i`` always reading entry ``i`` of each, until its last walker leaves
+the cone; then it stops.  Walkers that left the cone are dropped from the
+stepped arrays, but that never changes which uniforms a live walker sees, so
+the estimates do not depend on it.
 """
 
 from __future__ import annotations
@@ -56,12 +63,14 @@ class AliasTable:
         self.accept = accept
         self.alias = alias
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def pick(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Outcomes for uniforms u (column) and v (accept test), elementwise."""
         k = len(self.accept)
-        u = rng.random(count)
-        v = rng.random(count)
         idx = np.minimum((u * k).astype(np.int64), k - 1)
         return np.where(v < self.accept[idx], idx, self.alias[idx])
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.pick(rng.random(count), rng.random(count))
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -69,17 +78,25 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _membership_mask(model: WalkModel, pos: np.ndarray) -> np.ndarray:
+def _membership(model: WalkModel):
+    """The cone test, built once: positions (m, d) -> mask of rows in the cone.
+
+    Orthant: every coordinate >= 0.  Integer normals: every <a, x> >= 0, which
+    is exact in float for lattice points.  Other normals: <a, x> >= -tol with
+    tol = 1e-12 |a| (|x| + 1).
+    """
     if model.cone.is_orthant:
-        return (pos >= 0).all(axis=1)
+        return lambda pos: (pos >= 0).all(axis=1)
     a = np.asarray(model.cone.normals, dtype=float)
-    prods = pos @ a.T
-    integer_normals = np.allclose(a, np.round(a))
-    if integer_normals:
-        return (prods >= 0).all(axis=1)
+    if np.allclose(a, np.round(a)):
+        return lambda pos: (pos @ a.T >= 0).all(axis=1)
     norms = np.linalg.norm(a, axis=1)
-    tol = 1e-12 * norms[None, :] * (np.linalg.norm(pos, axis=1)[:, None] + 1.0)
-    return (prods >= -tol).all(axis=1)
+
+    def inside(pos: np.ndarray) -> np.ndarray:
+        tol = 1e-12 * norms[None, :] * (np.linalg.norm(pos, axis=1)[:, None] + 1.0)
+        return (pos @ a.T >= -tol).all(axis=1)
+
+    return inside
 
 
 def _stream_counts(samples: int) -> list[int]:
@@ -100,20 +117,31 @@ def _run_streams(worker, samples: int, workers: int):
 
 def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
     """Walker loop: (stream, count) -> end positions and the mask of paths
-    that stayed in the cone for all n steps."""
+    that stayed in the cone for all n steps.  Only live walkers are stepped;
+    the end-position rows of the others are 0."""
     steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
     table = AliasTable([float(w) for _, w in weighted_steps])
     start = np.asarray(model.start, dtype=np.int64)
+    inside = _membership(model)
 
     def walk(stream: int, count: int):
         rng = _stream_rng(seed, stream)
-        pos = np.tile(start, (count, 1))
-        alive = np.ones(count, dtype=bool)
+        live = np.arange(count)          # stream indices of the live walkers
+        pos = np.tile(start, (count, 1))  # their positions, row for row
         for _ in range(n):
-            idx = table.sample(rng, count)
-            pos += steps[idx]
-            alive &= _membership_mask(model, pos)
-        return pos, alive
+            u = rng.random(count)
+            v = rng.random(count)
+            pos += steps[table.pick(u[live], v[live])]
+            stay = inside(pos)
+            if not stay.all():
+                live, pos = live[stay], pos[stay]
+                if not live.size:
+                    break
+        end = np.zeros((count, len(start)), dtype=np.int64)
+        end[live] = pos
+        alive = np.zeros(count, dtype=bool)
+        alive[live] = True
+        return end, alive
 
     return walk
 

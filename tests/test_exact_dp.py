@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from conewalk import (
     survival_sequence,
     tilted_survival_functional,
 )
+from conewalk.exact_dp import _dp_bytes
 from conewalk.errors import (
     DriftNotInterior,
     MemoryBudgetExceeded,
@@ -241,3 +243,15 @@ class TestMemoryBudget:
         monkeypatch.setenv("CONEWALK_MEM_BUDGET", str(2 * 2 ** 30))
         seq = survival_sequence(five_step_model, 5)
         assert len(seq.terms) == 6
+
+    def test_prediction_covers_traced_peak(self, five_step_model):
+        n = 60
+        survival_sequence(five_step_model, 2)
+        tracemalloc.start()
+        try:
+            survival_sequence(five_step_model, n)
+            escape_probability_bounds(five_step_model, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _dp_bytes(five_step_model, n)

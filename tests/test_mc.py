@@ -1,15 +1,20 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from conewalk import (
+    ConeSpec,
+    StepDistribution,
     analyze,
+    build_model,
     estimate_escape,
     simulate_survival,
     simulate_tilted,
     survival_sequence,
 )
+from conewalk import mc
 from conewalk.errors import DriftNotInterior
 from conewalk.mc import AliasTable, _stream_counts, _stream_rng
 
@@ -33,6 +38,12 @@ class TestAliasTable:
         rng = np.random.default_rng(1)
         draws = table.sample(rng, 100_000)
         assert (draws == 1).mean() == pytest.approx(0.75, abs=5e-3)
+
+    def test_pick_is_sample_on_the_same_uniforms(self):
+        table = AliasTable([0.1, 0.2, 0.3, 0.4, 0.25])
+        rng = _stream_rng(5, 2)
+        picked = table.pick(rng.random(1000), rng.random(1000))
+        assert (picked == table.sample(_stream_rng(5, 2), 1000)).all()
 
 
 class TestStreams:
@@ -139,3 +150,111 @@ class TestEstimateEscape:
         assert out.estimate.mean == pytest.approx(2 / 3, abs=0.02)
         lo, hi = out.bounds.best
         assert float(lo) <= 2 / 3 <= float(hi)
+
+
+def _reference_mask(model, pos):
+    """Cone membership as the uncompacted loop tested it, rebuilt each step."""
+    if model.cone.is_orthant:
+        return (pos >= 0).all(axis=1)
+    a = np.asarray(model.cone.normals, dtype=float)
+    prods = pos @ a.T
+    if np.allclose(a, np.round(a)):
+        return (prods >= 0).all(axis=1)
+    norms = np.linalg.norm(a, axis=1)
+    tol = 1e-12 * norms[None, :] * (np.linalg.norm(pos, axis=1)[:, None] + 1.0)
+    return (prods >= -tol).all(axis=1)
+
+
+def _reference_walk(model, weighted_steps, n, seed):
+    """The uncompacted walker loop: every walker, dead or alive, is stepped
+    and tested at each of the n steps."""
+    steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
+    table = AliasTable([float(w) for _, w in weighted_steps])
+    start = np.asarray(model.start, dtype=np.int64)
+
+    def walk(stream, count):
+        rng = _stream_rng(seed, stream)
+        pos = np.tile(start, (count, 1))
+        alive = np.ones(count, dtype=bool)
+        for _ in range(n):
+            idx = table.sample(rng, count)
+            pos += steps[idx]
+            alive &= _reference_mask(model, pos)
+        return pos, alive
+
+    return walk
+
+
+_EXTERIOR_STEPS = {(1, 0): F(1, 6), (0, 1): F(1, 6), (-1, 0): F(1, 3), (0, -1): F(1, 3)}
+
+
+def _exterior_in(normals, start):
+    dist = StepDistribution(2, tuple(_EXTERIOR_STEPS.items()))
+    return build_model(dist, ConeSpec.polyhedral(normals), start)
+
+
+@pytest.fixture(scope="module")
+def wedge_2d():
+    """Exterior steps in the integer-normal wedge {x >= 0, x - y >= 0}."""
+    return _exterior_in([[1, 0], [1, -1]], (0, 0))
+
+
+@pytest.fixture(scope="module")
+def float_halfspace_2d():
+    """Exterior steps in {0.3x + 0.1y >= 0, x >= 0}: on the boundary points
+    (k, -3k) the float product is about -5e-17, so only the tolerance keeps
+    them in the cone."""
+    return _exterior_in([[0.3, 0.1], [1.0, 0.0]], (1, 0))
+
+
+class TestCompactedWalker:
+    """The live-walker loop of ``mc._walker`` against the uncompacted loop,
+    bit for bit."""
+
+    CASES = [
+        ("five_step_model", 40, 3001),
+        ("exterior_2d", 40, 3001),
+        ("wedge_2d", 40, 3001),
+        ("float_halfspace_2d", 40, 3001),
+        ("trapped_2d", 25, 500),
+        ("octant_3d", 30, 3001),
+        ("exterior_2d", 200, 2000),  # every walker dies before step n
+    ]
+
+    @pytest.mark.parametrize("name,n,samples", CASES)
+    def test_walks_match_reference(self, request, name, n, samples):
+        model = request.getfixturevalue(name)
+        an = analyze(model.dist, model.cone)
+        survivors = []
+        for weighted in (model.dist.steps, an.tilted_steps):
+            walk = mc._walker(model, weighted, n, seed=3)
+            ref = _reference_walk(model, weighted, n, seed=3)
+            hits = 0
+            for stream, count in enumerate(_stream_counts(samples)):
+                pos, alive = walk(stream, count)
+                ref_pos, ref_alive = ref(stream, count)
+                assert (alive == ref_alive).all()
+                assert (pos[alive] == ref_pos[ref_alive]).all()
+                hits += int(ref_alive.sum())
+            survivors.append(hits)
+        if name == "trapped_2d":
+            assert survivors == [samples, samples]
+        if n == 200:
+            assert survivors[0] == 0  # plain: every stream stops early
+
+    @pytest.mark.parametrize("name,n,samples", CASES)
+    def test_estimates_match_reference(self, request, monkeypatch, name, n, samples):
+        model = request.getfixturevalue(name)
+        an = analyze(model.dist, model.cone)
+
+        def estimates(workers):
+            return (simulate_survival(model, n, samples, seed=8, workers=workers),
+                    simulate_tilted(model, an, n, samples, seed=8, workers=workers))
+
+        compact = [estimates(1), estimates(4)]
+        monkeypatch.setattr(mc, "_walker", _reference_walk)
+        ref = estimates(1)
+        for got in compact:
+            for est, want in zip(got, ref):
+                assert est.mean.hex() == want.mean.hex()
+                assert est.std_error.hex() == want.std_error.hex()
