@@ -45,7 +45,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_target(raw: str):
-    return tuple(int(c) for c in raw.split(","))
+    try:
+        return tuple(int(c) for c in raw.split(","))
+    except ValueError:
+        raise ConewalkError(
+            f"--target must be comma-separated integers, got {raw!r}") from None
 
 
 def _survival_verdict(seq, analysis, bounds, kmax):
@@ -74,6 +78,8 @@ def run_report(argv) -> tuple[dict, int]:
     try:
         model = load_model(args.model, normalize=args.normalize)
         horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
+        if horizon < 0:
+            raise ConewalkError(f"--horizon must be non-negative, got {horizon}")
         doc = report.base_report(model)
         sequences: dict[str, exact_dp.ExactSequence] = {}
         verdicts: dict = {}
@@ -93,13 +99,20 @@ def run_report(argv) -> tuple[dict, int]:
             raise ConewalkError("escape bounds need a small-step, non-trapped "
                                 "orthant model with interior drift")
 
-        # One bounds pass yields survival, a_inf and the bounds block. Past
-        # A_INF_HORIZON enumerate and guess need only a_inf: stop the bounds there.
+        target = None
+        if command == "excursion" or (command == "analyze"
+                                      and args.target is not None):
+            target = (_parse_target(args.target) if args.target is not None
+                      else tuple(model.start))
+
+        # One bounds pass yields survival, a_inf, the bounds block and the
+        # excursion. Past A_INF_HORIZON enumerate and guess need only a_inf:
+        # stop the bounds there.
         survival = command in ("analyze", "enumerate", "guess")
         report_bounds = command in ("analyze", "bounds")
         bounds = None
         if bounds_apply and (report_bounds or (survival and horizon <= A_INF_HORIZON)):
-            bounds = exact_dp.escape_probability_bounds(model, horizon)
+            bounds = exact_dp.escape_probability_bounds(model, horizon, target)
             if report_bounds:
                 doc["bounds"] = report.bounds_block(bounds)
         if survival:
@@ -111,10 +124,9 @@ def run_report(argv) -> tuple[dict, int]:
             verdicts["survival"] = report.verdict_block(
                 _survival_verdict(seq, analysis, bounds, args.kmax))
 
-        if command == "excursion" or (command == "analyze"
-                                      and args.target is not None):
-            target = _parse_target(args.target) if args.target else tuple(model.start)
-            seq = exact_dp.excursion_sequence(model, target, horizon)
+        if target is not None:
+            seq = (bounds.excursion if bounds is not None
+                   else exact_dp.excursion_sequence(model, target, horizon))
             sequences["excursion"] = seq
             if analysis is not None and analysis.rho_global is not None:
                 period = seqlab.detect_period(seq.terms)

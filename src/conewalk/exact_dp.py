@@ -6,7 +6,8 @@ mass at ``pos``.  One shift-and-add kernel advances every layer stream.  Exact
 streams use ``object`` dtype with integer numerators over ``D^k`` (D = common
 weight denominator), which keeps the arithmetic exact while avoiding
 per-operation gcd reduction; the tilted functional uses ``float64``.  Survival,
-excursion, escape-bound and state readouts are sums and slices of the box.
+excursion, escape-bound and state readouts are sums and slices of the box;
+``_read`` feeds any set of the exact sequence readouts from one pass.
 """
 
 from __future__ import annotations
@@ -71,12 +72,14 @@ class StateLayer:
 @dataclass(frozen=True)
 class EscapeBounds:
     """Two-sided bounds on the escape probability, one interval per horizon,
-    with the survival sequence a_k the intervals are built from."""
+    with the survival sequence a_k the intervals are built from and, when a
+    target was given, the excursion sequence read off the same pass."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
     best: tuple[Fraction, Fraction]
     g_sequence: ExactSequence
     survival: ExactSequence
+    excursion: ExactSequence | None
 
 
 def _mem_budget() -> int:
@@ -129,7 +132,7 @@ def _advance(layer: np.ndarray, steps, grow) -> np.ndarray:
     for v, c in steps:
         src = tuple(slice(max(-a, 0), s) for a, s in zip(v, layer.shape))
         dst = tuple(slice(max(a, 0), max(s + a, 0)) for a, s in zip(v, layer.shape))
-        new[dst] += c * layer[src]
+        new[dst] += layer[src] if c == 1 else c * layer[src]
     return new
 
 
@@ -172,29 +175,43 @@ def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
         })
 
 
-def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
-    """Exact survival probabilities a_0..a_n."""
+def _read(model: WalkModel, n: int, readouts, target=None) -> list[list[Fraction]]:
+    """Read sequences off one pass over the integer layers 0..n: readout j maps
+    layer k to the numerator over D^k of term k of sequence j."""
     den = model.dist.common_denominator
-    terms = [
-        Fraction(layer.sum(), den ** k)
-        for k, layer in enumerate(_integer_layers(model, n))
-    ]
-    return ExactSequence(tuple(terms), "survival", model.model_hash(), n)
+    sequences = [[] for _ in readouts]
+    for k, layer in enumerate(_integer_layers(model, n, target)):
+        scale = den ** k
+        for terms, readout in zip(sequences, readouts):
+            terms.append(Fraction(readout(layer), scale))
+    return sequences
 
 
-def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
-    """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n."""
+def _excursion_readout(model: WalkModel, y):
+    """Check an excursion target y; return it as a tuple with the readout
+    ``layer[y]``, which is 0 where y lies outside the box."""
     y = tuple(int(c) for c in y)
     if len(y) != model.dimension:
         raise PointOutsideCone(f"target {y} is not a point of Z^{model.dimension}")
     if not model.cone.contains(y):
         raise PointOutsideCone(f"target {y} is outside the cone")
-    den = model.dist.common_denominator
-    terms = [
-        Fraction(layer[y] if all(c < s for c, s in zip(y, layer.shape)) else 0,
-                 den ** k)
-        for k, layer in enumerate(_integer_layers(model, n, target=y))
-    ]
+
+    def readout(layer: np.ndarray):
+        return layer[y] if all(c < s for c, s in zip(y, layer.shape)) else 0
+
+    return y, readout
+
+
+def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
+    """Exact survival probabilities a_0..a_n."""
+    [terms] = _read(model, n, [np.sum])
+    return ExactSequence(tuple(terms), "survival", model.model_hash(), n)
+
+
+def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
+    """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n."""
+    y, readout = _excursion_readout(model, y)
+    [terms] = _read(model, n, [readout], target=y)
     return ExactSequence(tuple(terms), "excursion", model.model_hash(), n, target=y)
 
 
@@ -239,21 +256,17 @@ def boundary_exit_g(model: WalkModel, y) -> Fraction:
     return sum((g ** (y[i] + 1) for i, g in gammas.items()), Fraction(0))
 
 
-def escape_probability_bounds(model: WalkModel, n: int) -> EscapeBounds:
-    """Per-horizon intervals [a_k - g_k, a_k - g_k/d] around P^x(tau=inf)."""
+def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBounds:
+    """Per-horizon intervals [a_k - g_k, a_k - g_k/d] around P^x(tau=inf).
+
+    With a target y, the same pass also reads the excursion sequence at y.
+    """
     gammas = _interior_smallstep_gamma(model)
     if model.trapped:
         raise Trapped("trapped walk: the escape probability is exactly 1")
     d = model.dimension
-    den = model.dist.common_denominator
 
-    intervals = []
-    a_terms = []
-    g_terms = []
-    for k, layer in enumerate(_integer_layers(model, n)):
-        scale = den ** k
-        a_k = Fraction(layer.sum(), scale)
-        a_terms.append(a_k)
+    def g_numerator(layer: np.ndarray) -> Fraction:
         g_num = Fraction(0)
         for i, g in gammas.items():
             # Horner on the coordinate-i marginal m: sum_c m_c g^(c+1)
@@ -261,9 +274,14 @@ def escape_probability_bounds(model: WalkModel, n: int) -> EscapeBounds:
             for m in layer.sum(axis=tuple(j for j in range(d) if j != i))[::-1]:
                 g_i = (g_i + m) * g
             g_num += g_i
-        g_k = g_num / scale
-        g_terms.append(g_k)
-        intervals.append((a_k - g_k, a_k - g_k / d))
+        return g_num
+
+    readouts = [np.sum, g_numerator]
+    if target is not None:
+        target, readout = _excursion_readout(model, target)
+        readouts.append(readout)
+    a_terms, g_terms, *e_terms = _read(model, n, readouts)
+    intervals = [(a_k - g_k, a_k - g_k / d) for a_k, g_k in zip(a_terms, g_terms)]
 
     best_lo = max(lo for lo, _ in intervals)
     best_hi = min(hi for _, hi in intervals)
@@ -272,6 +290,9 @@ def escape_probability_bounds(model: WalkModel, n: int) -> EscapeBounds:
             "escape-bound intervals do not intersect; this indicates a bug"
         )
     h = model.model_hash()
+    excursion = (ExactSequence(tuple(e_terms[0]), "excursion", h, n, target=target)
+                 if e_terms else None)
     return EscapeBounds(intervals=tuple(intervals), best=(best_lo, best_hi),
                         g_sequence=ExactSequence(tuple(g_terms), "g_functional", h, n),
-                        survival=ExactSequence(tuple(a_terms), "survival", h, n))
+                        survival=ExactSequence(tuple(a_terms), "survival", h, n),
+                        excursion=excursion)

@@ -178,7 +178,7 @@ class TestDpPasses:
         _, code = run_report(["analyze", "--model", five_step_path,
                               "--horizon", "30", "--kmax", "5", "--target", "0,0"])
         assert code == 0
-        assert dp_passes == [30, 30]  # bounds, then the pruned excursion
+        assert dp_passes == [30]  # the excursion is read off the bounds pass
 
     def test_enumerate_within_a_inf_horizon_is_one_pass(self, five_step_path,
                                                         dp_passes):
@@ -213,6 +213,26 @@ class TestErrorsAndExitCodes:
                                 "--horizon", "400"])
         assert code == 3
         assert "try horizon" in doc["error"]
+
+    @pytest.mark.parametrize("command", ["analyze", "excursion"])
+    @pytest.mark.parametrize("target, error", [
+        ("a,b", "ConewalkError"), ("0,,0", "ConewalkError"), ("", "ConewalkError"),
+        ("0,-1", "PointOutsideCone"), ("0", "PointOutsideCone"),
+    ])
+    def test_bad_target(self, five_step_path, command, target, error):
+        doc, code = run_report([command, "--model", five_step_path,
+                                "--horizon", "10", "--kmax", "2",
+                                "--target", target])
+        assert code == 2
+        assert doc["error"].startswith(f"{error}: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",
+                                         "bounds", "guess", "simulate"])
+    def test_negative_horizon(self, five_step_path, command):
+        doc, code = run_report([command, "--model", five_step_path,
+                                "--horizon", "-5", "--samples", "10"])
+        assert code == 2
+        assert "--horizon must be non-negative" in doc["error"]
 
     def test_normalize_flag(self, tmp_path):
         doc = dict(FIVE_STEP, steps=[{"v": [1, 0], "w": "1/5"},

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +135,8 @@ class TestExcursion:
         for target in ((0, -1), (0,), (0, 0, 0)):
             with pytest.raises(PointOutsideCone):
                 excursion_sequence(five_step_model, target, 4)
+            with pytest.raises(PointOutsideCone):
+                escape_probability_bounds(five_step_model, 4, target=target)
 
     def test_unreachable_target_is_zero(self, trapped_2d):
         seq = excursion_sequence(trapped_2d, (0, 0), 4)
@@ -223,6 +226,21 @@ class TestEscapeBounds:
         a = survival.terms
         for k, (lo, _) in enumerate(bounds.intervals):
             assert lo == a[k] - bounds.g_sequence.terms[k]
+
+    def test_bounds_pass_reads_the_excursion(self, five_step_model, pos_1d):
+        # the unpruned bounds layers hold every layer[y] of the pruned pass
+        cases = [(five_step_model, y) for y in ((0, 0), (1, 1), (2, 0), (0, 3), (9, 9))]
+        cases += [(pos_1d, (0,)), (pos_1d, (3,))]
+        for n in (8, 20):
+            for model, target in cases:
+                bounds = escape_probability_bounds(model, n, target=target)
+                assert bounds.excursion == excursion_sequence(model, target, n)
+                # the target adds a readout and changes none of the others
+                assert replace(bounds, excursion=None) == \
+                    escape_probability_bounds(model, n)
+        assert not any(escape_probability_bounds(five_step_model, 8, (9, 9))
+                       .excursion.terms)  # (9, 9) needs nine steps
+        assert escape_probability_bounds(five_step_model, 8).excursion is None
 
     def test_prefix_best_is_shorter_horizon_best(self, five_step_model):
         full = escape_probability_bounds(five_step_model, 30)
