@@ -67,7 +67,7 @@ def _survival_verdict(seq, analysis, bounds, kmax):
         rho = 1.0  # too few terms to estimate a rate from the sequence
     needed = 2 * kmax + seqlab.MIN_EXTRA_TERMS
     if len(seq.terms) < needed:
-        kmax = max((len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2, 1)
+        kmax = (len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2
     return seqlab.sequence_verdict(seq.terms, kmax, rho=rho, a_inf=a_inf)
 
 
@@ -80,6 +80,8 @@ def run_report(argv) -> tuple[dict, int]:
         horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
         if horizon < 0:
             raise ConewalkError(f"--horizon must be non-negative, got {horizon}")
+        if args.kmax < 1:
+            raise ConewalkError(f"--kmax must be positive, got {args.kmax}")
         doc = report.base_report(model)
         sequences: dict[str, exact_dp.ExactSequence] = {}
         verdicts: dict = {}
@@ -102,13 +104,16 @@ def run_report(argv) -> tuple[dict, int]:
         target = None
         if command == "excursion" or (command == "analyze"
                                       and args.target is not None):
-            target = (_parse_target(args.target) if args.target is not None
-                      else tuple(model.start))
+            target = exact_dp.excursion_target(
+                model, _parse_target(args.target) if args.target is not None
+                else model.start)
 
         # One bounds pass yields survival, a_inf, the bounds block and the
         # excursion. Past A_INF_HORIZON enumerate and guess need only a_inf:
         # stop the bounds there.
         survival = command in ("analyze", "enumerate", "guess")
+        if survival:  # the verdict guesses a recurrence of order at least 1
+            seqlab.require_terms(horizon + 1, 1)
         report_bounds = command in ("analyze", "bounds")
         bounds = None
         if bounds_apply and (report_bounds or (survival and horizon <= A_INF_HORIZON)):

@@ -187,14 +187,21 @@ def _read(model: WalkModel, n: int, readouts, target=None) -> list[list[Fraction
     return sequences
 
 
-def _excursion_readout(model: WalkModel, y):
-    """Check an excursion target y; return it as a tuple with the readout
-    ``layer[y]``, which is 0 where y lies outside the box."""
+def excursion_target(model: WalkModel, y) -> tuple[int, ...]:
+    """Check that an excursion target y is a point of Z^d in the cone;
+    return it as a tuple."""
     y = tuple(int(c) for c in y)
     if len(y) != model.dimension:
         raise PointOutsideCone(f"target {y} is not a point of Z^{model.dimension}")
     if not model.cone.contains(y):
         raise PointOutsideCone(f"target {y} is outside the cone")
+    return y
+
+
+def _excursion_readout(model: WalkModel, y):
+    """Check an excursion target y; return it as a tuple with the readout
+    ``layer[y]``, which is 0 where y lies outside the box."""
+    y = excursion_target(model, y)
 
     def readout(layer: np.ndarray):
         return layer[y] if all(c < s for c, s in zip(y, layer.shape)) else 0

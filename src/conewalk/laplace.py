@@ -53,27 +53,18 @@ def laplace_eval(dist: StepDistribution, t):
 def classify_drift(m, cone: ConeSpec, tol: float = 1e-12) -> DriftClass:
     """Position of the mean increment relative to the cone.
 
-    Exact for the orthant when ``m`` holds rationals; a tolerance is applied
-    for float polyhedral normals.
+    Exact against integer normals (the orthant's included) when ``m`` holds
+    rationals; against other normals a product within ``tol`` of 0 counts
+    as 0.
     """
-    if cone.is_orthant:
-        if all(c > 0 for c in m):
-            return DriftClass.INTERIOR
-        if any(c < 0 for c in m):
-            return DriftClass.EXTERIOR
-        return DriftClass.BOUNDARY
     mv = np.asarray([float(c) for c in m])
-    prods = [float(np.asarray(a) @ mv) for a in cone.normals]
-    if all(p > tol for p in prods):
+    prods = [(sum(int(c) * x for c, x in zip(a, m)), 0) if exact else (float(a @ mv), tol)
+             for a, exact in zip(cone.halfspace_normals, cone.integer_normals)]
+    if all(p > eps for p, eps in prods):
         return DriftClass.INTERIOR
-    if any(p < -tol for p in prods):
+    if any(p < -eps for p, eps in prods):
         return DriftClass.EXTERIOR
     return DriftClass.BOUNDARY
-
-
-def _orthant_kkt_residual(t, grad):
-    # complementarity: coordinates at the bound need grad >= 0, free ones grad = 0
-    return float(np.abs(np.minimum(t, grad)).max())
 
 
 def _check_unbounded(t, trace):
@@ -91,20 +82,13 @@ def _has_recession_direction(dist: StepDistribution, cone: ConeSpec) -> bool:
     with at least one strict inequality, so L decreases along u forever."""
     vecs = np.asarray([v for v, _ in dist.steps], dtype=float)
     k = vecs.shape[0]
-    if cone.is_orthant:
-        # u >= 0, V u <= 0, sum_v <u, v> <= -1
-        a_ub = np.vstack([vecs, vecs.sum(axis=0)])
-        b_ub = np.concatenate([np.zeros(k), [-1.0]])
-        res = linprog(np.zeros(dist.dimension), A_ub=a_ub, b_ub=b_ub,
-                      bounds=(0, None), method="highs")
-    else:
-        # u = G^T lam, lam >= 0, over the dual-cone generators
-        g = np.asarray(cone.dual_generators, dtype=float)
-        prods = vecs @ g.T  # <v, g_j>
-        a_ub = np.vstack([prods, prods.sum(axis=0)])
-        b_ub = np.concatenate([np.zeros(k), [-1.0]])
-        res = linprog(np.zeros(g.shape[0]), A_ub=a_ub, b_ub=b_ub,
-                      bounds=(0, None), method="highs")
+    # u = G^T lam, lam >= 0, over the dual-cone generators G
+    g = cone.halfspace_normals
+    prods = vecs @ g.T  # <v, g_j>
+    a_ub = np.vstack([prods, prods.sum(axis=0)])
+    b_ub = np.concatenate([np.zeros(k), [-1.0]])
+    res = linprog(np.zeros(g.shape[0]), A_ub=a_ub, b_ub=b_ub,
+                  bounds=(0, None), method="highs")
     return bool(res.success)
 
 
@@ -113,21 +97,37 @@ def _armijo_ok(vn, val, predicted):
     return vn <= val + ARMIJO_C * predicted + 4e-16 * abs(val)
 
 
-def _minimize_orthant(dist: StepDistribution, tol: float):
-    d = dist.dimension
-    t = np.zeros(d)
+def minimize_over_dual(dist: StepDistribution, cone: ConeSpec, tol: float = DEFAULT_TOL):
+    """Minimize L over the dual cone; returns (t0, rho, kkt_residual).
+
+    The dual cone is {A^T lam : lam >= 0}, A the halfspace normals (the
+    identity for the orthant), so this is projected Newton on lam >= 0 for
+    L(A^T lam): gradient A grad L, Hessian A hess L A^T, with the Newton step
+    taken on the coordinates that are not held at the bound.
+    """
+    if _has_recession_direction(dist, cone):
+        raise Unbounded(
+            "transform decreases forever along a dual-cone direction; "
+            "no dual-cone minimum exists"
+        )
+    a = cone.halfspace_normals
+    m = a.shape[0]
+    lam = np.zeros(m)
     values = []
     for _ in range(MAX_ITER):
+        t = a.T @ lam
         val, g, h = laplace_eval(dist, t)
         values.append(val)
-        resid = _orthant_kkt_residual(t, g)
+        gl = a @ g
+        # complementarity: coordinates at the bound need gl >= 0, free ones gl = 0
+        resid = float(np.abs(np.minimum(lam, gl)).max())
         if resid <= tol:
             return t, val, resid
-        free = ~((t <= 1e-14) & (g > 0))
-        direction = np.zeros(d)
+        free = ~((lam <= 1e-14) & (gl > 0))
+        direction = np.zeros(m)
         if free.any():
-            gf = g[free]
-            hf = h[np.ix_(free, free)]
+            gf = gl[free]
+            hf = (a @ h @ a.T)[np.ix_(free, free)]
             try:
                 step = np.linalg.solve(hf, -gf)
             except np.linalg.LinAlgError:
@@ -136,61 +136,22 @@ def _minimize_orthant(dist: StepDistribution, tol: float):
                 step = -gf
             direction[free] = step
         else:
-            direction = -g
+            direction = -gl
         alpha = 1.0
         while alpha > 1e-18:
-            tn = np.maximum(t + alpha * direction, 0.0)
-            vn, _, _ = laplace_eval(dist, tn)
-            if _armijo_ok(vn, val, float(g @ (tn - t))):
-                break
-            alpha *= 0.5
-        t = tn
-        _check_unbounded(t, values)
-    val, g, _ = laplace_eval(dist, t)
-    resid = _orthant_kkt_residual(t, g)
-    if resid <= tol:
-        return t, val, resid
-    raise NotConverged(f"projected Newton stalled at residual {resid:.3e}")
-
-
-def _minimize_polyhedral(dist: StepDistribution, cone: ConeSpec, tol: float):
-    # parameterize t = A^T lam, lam >= 0, over the dual-cone generators
-    a = np.asarray(cone.dual_generators, dtype=float)
-    m = a.shape[0]
-    lam = np.zeros(m)
-    values = []
-    for _ in range(20 * MAX_ITER):
-        t = a.T @ lam
-        val, g, _ = laplace_eval(dist, t)
-        values.append(val)
-        gl = a @ g
-        resid = float(np.abs(np.minimum(lam, gl)).max())
-        if resid <= tol:
-            return t, val, resid
-        alpha = 1.0
-        while alpha > 1e-18:
-            ln = np.maximum(lam - alpha * gl, 0.0)
+            ln = np.maximum(lam + alpha * direction, 0.0)
             vn, _, _ = laplace_eval(dist, a.T @ ln)
             if _armijo_ok(vn, val, float(gl @ (ln - lam))):
                 break
             alpha *= 0.5
         lam = ln
         _check_unbounded(a.T @ lam, values)
-    raise NotConverged("projected gradient on the dual generators stalled")
-
-
-def minimize_over_dual(dist: StepDistribution, cone: ConeSpec, tol: float = DEFAULT_TOL):
-    """Minimize L over the dual cone; returns (t0, rho, kkt_residual)."""
-    if _has_recession_direction(dist, cone):
-        raise Unbounded(
-            "transform decreases forever along a dual-cone direction; "
-            "no dual-cone minimum exists"
-        )
-    if cone.is_orthant:
-        t, val, resid = _minimize_orthant(dist, tol)
-    else:
-        t, val, resid = _minimize_polyhedral(dist, cone, tol)
-    return t, val, resid
+    t = a.T @ lam
+    val, g, _ = laplace_eval(dist, t)
+    resid = float(np.abs(np.minimum(lam, a @ g)).max())
+    if resid <= tol:
+        return t, val, resid
+    raise NotConverged(f"projected Newton stalled at residual {resid:.3e}")
 
 
 def _support_spans_all_directions(dist: StepDistribution) -> bool:

@@ -78,27 +78,6 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _membership(model: WalkModel):
-    """The cone test, built once: positions (m, d) -> mask of rows in the cone.
-
-    Orthant: every coordinate >= 0.  Integer normals: every <a, x> >= 0, which
-    is exact in float for lattice points.  Other normals: <a, x> >= -tol with
-    tol = 1e-12 |a| (|x| + 1).
-    """
-    if model.cone.is_orthant:
-        return lambda pos: (pos >= 0).all(axis=1)
-    a = np.asarray(model.cone.normals, dtype=float)
-    if np.allclose(a, np.round(a)):
-        return lambda pos: (pos @ a.T >= 0).all(axis=1)
-    norms = np.linalg.norm(a, axis=1)
-
-    def inside(pos: np.ndarray) -> np.ndarray:
-        tol = 1e-12 * norms[None, :] * (np.linalg.norm(pos, axis=1)[:, None] + 1.0)
-        return (pos @ a.T >= -tol).all(axis=1)
-
-    return inside
-
-
 def _stream_counts(samples: int) -> list[int]:
     base, extra = divmod(samples, N_STREAMS)
     return [base + (1 if s < extra else 0) for s in range(N_STREAMS)]
@@ -122,7 +101,7 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
     steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
     table = AliasTable([float(w) for _, w in weighted_steps])
     start = np.asarray(model.start, dtype=np.int64)
-    inside = _membership(model)
+    inside = model.cone.inside
 
     def walk(stream: int, count: int):
         rng = _stream_rng(seed, stream)

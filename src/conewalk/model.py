@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +122,8 @@ class StepDistribution:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Orthant or halfspace-represented polyhedral cone."""
+    """Polyhedral cone {x : <a_j, x> >= 0 for every normal a_j}; the orthant
+    is the cone whose normals are the identity."""
 
     dimension: int
     normals: tuple[tuple[float, ...], ...] | None = None  # None means orthant
@@ -149,21 +151,34 @@ class ConeSpec:
     def is_orthant(self) -> bool:
         return self.normals is None
 
-    @property
-    def halfspace_normals(self) -> tuple[tuple[float, ...], ...]:
-        if self.is_orthant:
-            eye = np.eye(self.dimension)
-            return tuple(tuple(row) for row in eye)
-        return self.normals
+    @cached_property
+    def halfspace_normals(self) -> np.ndarray:
+        """The normals a_j of the cone {x : <a_j, x> >= 0}, one per row; the
+        identity for the orthant.  They also generate the dual cone."""
+        a = (np.eye(self.dimension) if self.is_orthant
+             else np.asarray(self.normals, dtype=float))
+        a.setflags(write=False)
+        return a
 
-    @property
-    def dual_generators(self) -> tuple[tuple[float, ...], ...]:
-        """Generators of the dual cone: the halfspace normals."""
-        return self.halfspace_normals
+    @cached_property
+    def integer_normals(self) -> np.ndarray:
+        """Per normal: True iff its entries are integers, so that tests of
+        lattice points and rational drifts against it are exact."""
+        a = self.halfspace_normals
+        return (a == np.round(a)).all(axis=1)
+
+    @cached_property
+    def _slack(self) -> np.ndarray | None:
+        # membership tolerance per unit of (|x| + 1): 0 for integer normals,
+        # None when every normal is integer
+        if self.integer_normals.all():
+            return None
+        norms = np.linalg.norm(self.halfspace_normals, axis=1)
+        return np.where(self.integer_normals, 0.0, 1e-12 * norms)
 
     def _has_interior_point(self) -> bool:
         # max delta s.t. <a_j, x> >= delta, |x_i| <= 1; interior iff delta > 0
-        a = np.asarray(self.normals, dtype=float)
+        a = self.halfspace_normals
         m, d = a.shape
         # variables (x, delta); maximize delta
         c = np.zeros(d + 1)
@@ -174,28 +189,24 @@ class ConeSpec:
                       bounds=[(-1, 1)] * d + [(None, 1)], method="highs")
         return res.success and res.x is not None and res.x[-1] > 1e-9
 
+    def inside(self, points) -> np.ndarray:
+        """Mask of the rows of the (m, d) lattice points that lie in the cone.
+
+        Against an integer normal the test <a, x> >= 0 is exact; against any
+        other normal it is <a, x> >= -tol with tol = 1e-12 |a| (|x| + 1).
+        """
+        x = np.asarray(points)
+        prods = self.halfspace_normals @ x.T  # one row per normal: reduces fast
+        if self._slack is None:
+            return (prods >= 0).all(axis=0)
+        tol = self._slack[:, None] * (np.linalg.norm(x, axis=1) + 1.0)
+        return (prods >= -tol).all(axis=0)
+
     def contains(self, point) -> bool:
-        if self.is_orthant:
-            return all(c >= 0 for c in point)
-        y = np.asarray(point, dtype=float)
-        for a in self.normals:
-            an = np.asarray(a)
-            s = float(an @ y)
-            if all(float(c).is_integer() for c in a) and all(
-                float(c).is_integer() for c in point
-            ):
-                tol = 0.0
-            else:
-                tol = 1e-12 * float(np.linalg.norm(an) * (np.linalg.norm(y) + 1))
-            if s < -tol:
-                return False
-        return True
+        return bool(self.inside([point])[0])
 
     def strictly_contains(self, point) -> bool:
-        if self.is_orthant:
-            return all(c > 0 for c in point)
-        y = np.asarray(point, dtype=float)
-        return all(float(np.asarray(a) @ y) > 0 for a in self.normals)
+        return bool((self.halfspace_normals @ np.asarray(point, dtype=float) > 0).all())
 
 
 @dataclass(frozen=True)
@@ -404,13 +415,7 @@ def _enumerate_layers(model: WalkModel, n: int):
     for k in range(1, n + 1):
         pos = (pos[:, None, :] + vecs[None, :, :]).reshape(-1, model.dimension)
         wts = (wts[:, None] * nums[None, :]).reshape(-1)
-        if model.cone.is_orthant:
-            keep = (pos >= 0).all(axis=1)
-        else:
-            keep = np.fromiter(
-                (model.cone.contains(tuple(int(c) for c in p)) for p in pos),
-                dtype=bool, count=len(pos),
-            )
+        keep = model.cone.inside(pos)
         pos, wts = pos[keep], wts[keep]
         yield k, pos, wts
 

@@ -154,6 +154,15 @@ def exponential_polynomial(coeffs: Sequence[Fraction],
     )
 
 
+def require_terms(count: int, k_max: int) -> None:
+    """Raise InsufficientTerms unless ``count`` terms are enough to guess a
+    recurrence of order <= k_max."""
+    if count < 2 * k_max + MIN_EXTRA_TERMS:
+        raise InsufficientTerms(
+            f"need at least {2 * k_max + MIN_EXTRA_TERMS} terms, got {count}"
+        )
+
+
 def guess_recurrence(terms: Sequence[Fraction], k_max: int):
     """Minimal linear recurrence fitted on 2*k_max terms, verified on the rest.
 
@@ -161,10 +170,7 @@ def guess_recurrence(terms: Sequence[Fraction], k_max: int):
     order <= k_max reproduces every held-out term exactly.
     """
     terms = [Fraction(t) for t in terms]
-    if len(terms) < 2 * k_max + MIN_EXTRA_TERMS:
-        raise InsufficientTerms(
-            f"need at least {2 * k_max + MIN_EXTRA_TERMS} terms, got {len(terms)}"
-        )
+    require_terms(len(terms), k_max)
     window = terms[: 2 * k_max]
     coeffs = berlekamp_massey(window)
     order = len(coeffs)

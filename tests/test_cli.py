@@ -194,6 +194,26 @@ class TestDpPasses:
         assert code == 0
         assert dp_passes == [150, 100]
 
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "guess"])
+    def test_too_short_horizon_fails_before_the_dp(self, five_step_path, neg_1d_path,
+                                                   dp_passes, command):
+        for path in (five_step_path, neg_1d_path):
+            doc, code = run_report([command, "--model", path, "--horizon", "8"])
+            assert code == 2
+            assert doc["error"] == "InsufficientTerms: need at least 10 terms, got 9"
+        assert dp_passes == []
+
+    @pytest.mark.parametrize("target", ["-1", "0,0"])
+    def test_bad_target_fails_before_the_dp(self, neg_1d_path, dp_passes,
+                                            monkeypatch, target):
+        # without the check, the survival pass would overrun the budget first
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", "20000")
+        doc, code = run_report(["analyze", "--model", neg_1d_path,
+                                "--horizon", "400", "--target", target])
+        assert code == 2
+        assert doc["error"].startswith("PointOutsideCone: ")
+        assert dp_passes == []
+
 
 class TestErrorsAndExitCodes:
     def test_missing_file(self):
@@ -233,6 +253,15 @@ class TestErrorsAndExitCodes:
                                 "--horizon", "-5", "--samples", "10"])
         assert code == 2
         assert "--horizon must be non-negative" in doc["error"]
+
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",
+                                         "bounds", "guess", "simulate"])
+    def test_nonpositive_kmax(self, five_step_path, command, kmax):
+        doc, code = run_report([command, "--model", five_step_path, "--horizon", "40",
+                                "--kmax", kmax, "--samples", "10"])
+        assert code == 2
+        assert "--kmax must be positive" in doc["error"]
 
     def test_normalize_flag(self, tmp_path):
         doc = dict(FIVE_STEP, steps=[{"v": [1, 0], "w": "1/5"},

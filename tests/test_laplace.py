@@ -33,6 +33,12 @@ EXTERIOR_2D = dist_from({
     (1, 0): F(1, 6), (0, 1): F(1, 6), (-1, 0): F(1, 3), (0, -1): F(1, 3),
 })
 
+# steps +-e_i with weights 1/12 up, 1/4 down: drift -1/3 in every coordinate
+EXTERIOR_3D = dist_from({
+    tuple(s if j == i else 0 for j in range(3)): F(1, 12) if s > 0 else F(1, 4)
+    for i in range(3) for s in (1, -1)
+})
+
 
 class TestEval:
     def test_normalization_at_zero(self):
@@ -103,6 +109,20 @@ class TestClassifyDrift:
         assert d.drift == (F(-1, 2),)
         assert classify_drift(d.drift, ConeSpec.orthant(1)) is DriftClass.EXTERIOR
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_identity_normals_classify_like_the_orthant(self, d):
+        # drift exactly 1e-13 in every coordinate: below the float tolerance,
+        # but the integer normals are tested exactly
+        eps = F(1, 2 * 10 ** 13)
+        dist = dist_from({
+            tuple(s if j == i else 0 for j in range(d)): F(1, 2 * d) + s * eps
+            for i in range(d) for s in (1, -1)
+        })
+        assert dist.drift == (F(1, 10 ** 13),) * d
+        identity = ConeSpec.polyhedral(np.eye(d).tolist())
+        for cone in (ConeSpec.orthant(d), identity):
+            assert classify_drift(dist.drift, cone) is DriftClass.INTERIOR
+
 
 class TestMinimizeOverDual:
     def test_negative_drift_1d(self):
@@ -131,10 +151,28 @@ class TestMinimizeOverDual:
             minimize_over_dual(d, ConeSpec.orthant(1))
 
     def test_polyhedral_matches_orthant(self):
-        cone = ConeSpec.polyhedral([[1.0, 0.0], [0.0, 1.0]])
-        t0, rho, resid = minimize_over_dual(EXTERIOR_2D, cone, tol=1e-10)
-        assert rho == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-9)
-        assert t0 == pytest.approx([math.log(2) / 2] * 2, abs=1e-6)
+        # identity normals reproduce the orthant's t0, rho and residual bit for bit
+        for dist in (EXTERIOR_2D, EXTERIOR_3D):
+            d = dist.dimension
+            identity = ConeSpec.polyhedral(np.eye(d).tolist())
+            got, want = (minimize_over_dual(dist, cone)
+                         for cone in (identity, ConeSpec.orthant(d)))
+            for a, b in zip(got, want):
+                assert [float(c).hex() for c in np.atleast_1d(a)] == \
+                    [float(c).hex() for c in np.atleast_1d(b)]
+            assert got[2] <= 1e-12
+
+    @pytest.mark.parametrize("dist, normals, rho_want", [
+        (EXTERIOR_2D, [[1, 0], [1, 1], [0, 1]], 2 * math.sqrt(2) / 3),
+        (EXTERIOR_3D, [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+         0.8805833483398281),
+    ])
+    def test_non_simplicial_cone(self, dist, normals, rho_want):
+        # more normals than dimensions: the Hessian in the generator
+        # coefficients is singular
+        t0, rho, resid = minimize_over_dual(dist, ConeSpec.polyhedral(normals))
+        assert resid <= 1e-12
+        assert rho == pytest.approx(rho_want, abs=1e-12)
 
 
 class TestMinimizeGlobal:

@@ -242,6 +242,21 @@ class TestCompactedWalker:
         if n == 200:
             assert survivors[0] == 0  # plain: every stream stops early
 
+    @pytest.mark.parametrize("name", ["pos_1d", "five_step_model", "octant_3d",
+                                      "wedge_2d", "float_halfspace_2d"])
+    def test_inside_matches_reference_mask(self, request, name):
+        model = request.getfixturevalue(name)
+        d = model.dimension
+        axes = np.meshgrid(*[np.arange(-5, 6)] * d, indexing="ij")
+        pos = np.stack([a.ravel() for a in axes], axis=1)
+        if d == 2:  # the float cone's boundary points (k, -3k) and their neighbours
+            k = np.arange(-30, 31)
+            pos = np.vstack([pos] + [np.stack([k, -3 * k + e], axis=1) for e in (-1, 0, 1)])
+        mask = model.cone.inside(pos)
+        assert (mask == _reference_mask(model, pos)).all()
+        assert mask.tolist() == [model.cone.contains(tuple(p)) for p in pos.tolist()]
+        assert 0 < mask.sum() < len(pos)
+
     @pytest.mark.parametrize("name,n,samples", CASES)
     def test_estimates_match_reference(self, request, monkeypatch, name, n, samples):
         model = request.getfixturevalue(name)
