@@ -19,7 +19,7 @@ from .errors import (
 )
 from .exact_dp import A_INF_HORIZON
 from .laplace import DriftClass
-from .model import load_model
+from .model import excursion_target, load_model
 
 DEFAULT_HORIZON = 120
 DEFAULT_KMAX = 30
@@ -104,7 +104,7 @@ def run_report(argv) -> tuple[dict, int]:
         target = None
         if command == "excursion" or (command == "analyze"
                                       and args.target is not None):
-            target = exact_dp.excursion_target(
+            target = excursion_target(
                 model, _parse_target(args.target) if args.target is not None
                 else model.start)
 

@@ -24,12 +24,11 @@ from .errors import (
     DriftNotInterior,
     MemoryBudgetExceeded,
     NotSmallStep,
-    PointOutsideCone,
     Trapped,
     UnsupportedCone,
 )
 from .laplace import DriftClass, classify_drift, tilt_distribution
-from .model import WalkModel
+from .model import WalkModel, excursion_target
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
 A_INF_HORIZON = 100  # escape bounds at horizons 0..100 estimate P(tau = inf)
@@ -185,17 +184,6 @@ def _read(model: WalkModel, n: int, readouts, target=None) -> list[list[Fraction
         for terms, readout in zip(sequences, readouts):
             terms.append(Fraction(readout(layer), scale))
     return sequences
-
-
-def excursion_target(model: WalkModel, y) -> tuple[int, ...]:
-    """Check that an excursion target y is a point of Z^d in the cone;
-    return it as a tuple."""
-    y = tuple(int(c) for c in y)
-    if len(y) != model.dimension:
-        raise PointOutsideCone(f"target {y} is not a point of Z^{model.dimension}")
-    if not model.cone.contains(y):
-        raise PointOutsideCone(f"target {y} is outside the cone")
-    return y
 
 
 def _excursion_readout(model: WalkModel, y):

@@ -4,12 +4,12 @@ Sampling is split over a fixed set of counter-based substreams (Philox keyed
 by (seed, stream index)), so the estimate is bit-identical regardless of how
 many workers process the streams.
 
-Stream invariant: a stream of ``count`` walkers draws ``2*count`` uniforms per
-step (``count`` for the alias column, then ``count`` for the accept test),
-walker ``i`` always reading entry ``i`` of each, until its last walker leaves
-the cone; then it stops.  Walkers that left the cone are dropped from the
-stepped arrays, but that never changes which uniforms a live walker sees, so
-the estimates do not depend on it.
+Stream invariant: at each step a stream draws one uniform per walker still
+in the cone, ``rng.random(live.size)``, and hands them out in walker order;
+each uniform picks a step by inverse CDF.  Walkers that left the cone draw
+nothing more, and a stream whose last walker left stops.  What a stream
+draws depends only on its own walkers, so the estimates do not depend on
+how many workers run the streams.
 """
 
 from __future__ import annotations
@@ -40,37 +40,13 @@ class McEstimate:
     horizon: int
 
 
-class AliasTable:
-    """Walker alias method: O(1) discrete sampling from two uniforms."""
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        k = len(w)
-        prob = w * k / w.sum()
-        alias = np.zeros(k, dtype=np.int64)
-        accept = np.ones(k)
-        small = [i for i in range(k) if prob[i] < 1.0]
-        large = [i for i in range(k) if prob[i] >= 1.0]
-        while small and large:
-            s, l = small.pop(), large.pop()
-            accept[s] = prob[s]
-            alias[s] = l
-            prob[l] = prob[l] - (1.0 - prob[s])
-            (small if prob[l] < 1.0 else large).append(l)
-        for rest in (small, large):
-            for i in rest:
-                accept[i] = 1.0
-        self.accept = accept
-        self.alias = alias
-
-    def pick(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Outcomes for uniforms u (column) and v (accept test), elementwise."""
-        k = len(self.accept)
-        idx = np.minimum((u * k).astype(np.int64), k - 1)
-        return np.where(v < self.accept[idx], idx, self.alias[idx])
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.pick(rng.random(count), rng.random(count))
+def _step_sampler(weights):
+    """Inverse-CDF sampler: maps uniforms u in [0, 1) to step indices, step j
+    for edges[j-1] <= u < edges[j] with edges the normalised cumulative
+    weights."""
+    w = np.asarray(weights, dtype=float)
+    edges = np.cumsum(w)[:-1] / w.sum()
+    return lambda u: np.searchsorted(edges, u, side="right")
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -99,7 +75,7 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
     that stayed in the cone for all n steps.  Only live walkers are stepped;
     the end-position rows of the others are 0."""
     steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
-    table = AliasTable([float(w) for _, w in weighted_steps])
+    pick = _step_sampler([float(w) for _, w in weighted_steps])
     start = np.asarray(model.start, dtype=np.int64)
     inside = model.cone.inside
 
@@ -108,9 +84,7 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
         live = np.arange(count)          # stream indices of the live walkers
         pos = np.tile(start, (count, 1))  # their positions, row for row
         for _ in range(n):
-            u = rng.random(count)
-            v = rng.random(count)
-            pos += steps[table.pick(u[live], v[live])]
+            pos += steps[pick(rng.random(live.size))]
             stay = inside(pos)
             if not stay.all():
                 live, pos = live[stay], pos[stay]

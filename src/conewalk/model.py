@@ -429,11 +429,20 @@ def brute_force_survival(model: WalkModel, n: int) -> list[Fraction]:
     return out
 
 
-def brute_force_excursion(model: WalkModel, y, n: int) -> list[Fraction]:
-    """Probabilities of confined paths ending at y, by exhaustive enumeration."""
+def excursion_target(model: WalkModel, y) -> tuple[int, ...]:
+    """Check that an excursion target y is a point of Z^d in the cone;
+    return it as a tuple."""
     y = tuple(int(c) for c in y)
+    if len(y) != model.dimension:
+        raise PointOutsideCone(f"target {y} is not a point of Z^{model.dimension}")
     if not model.cone.contains(y):
         raise PointOutsideCone(f"target {y} is outside the cone")
+    return y
+
+
+def brute_force_excursion(model: WalkModel, y, n: int) -> list[Fraction]:
+    """Probabilities of confined paths ending at y, by exhaustive enumeration."""
+    y = excursion_target(model, y)
     den = model.dist.common_denominator
     target = np.asarray(y, dtype=np.int64)
     out = []

@@ -16,34 +16,37 @@ from conewalk import (
 )
 from conewalk import mc
 from conewalk.errors import DriftNotInterior
-from conewalk.mc import AliasTable, _stream_counts, _stream_rng
+from conewalk.mc import _stream_counts, _stream_rng
 
 
-class TestAliasTable:
+class TestStepSampler:
+    """The inverse-CDF map from one uniform to one step index."""
+
     def test_frequencies_match_weights(self):
         weights = [0.1, 0.2, 0.3, 0.4]
-        table = AliasTable(weights)
-        rng = np.random.default_rng(7)
-        draws = table.sample(rng, 200_000)
+        draws = mc._step_sampler(weights)(np.random.default_rng(7).random(200_000))
         freq = np.bincount(draws, minlength=4) / len(draws)
         assert freq == pytest.approx(weights, abs=5e-3)
 
     def test_single_outcome(self):
-        table = AliasTable([1.0])
-        rng = np.random.default_rng(0)
-        assert (table.sample(rng, 100) == 0).all()
+        draws = mc._step_sampler([1.0])(np.random.default_rng(0).random(100))
+        assert (draws == 0).all()
 
     def test_unnormalized_weights_ok(self):
-        table = AliasTable([2, 6])
-        rng = np.random.default_rng(1)
-        draws = table.sample(rng, 100_000)
+        draws = mc._step_sampler([2, 6])(np.random.default_rng(1).random(100_000))
         assert (draws == 1).mean() == pytest.approx(0.75, abs=5e-3)
 
-    def test_pick_is_sample_on_the_same_uniforms(self):
-        table = AliasTable([0.1, 0.2, 0.3, 0.4, 0.25])
-        rng = _stream_rng(5, 2)
-        picked = table.pick(rng.random(1000), rng.random(1000))
-        assert (picked == table.sample(_stream_rng(5, 2), 1000)).all()
+    def test_edge_mapping(self):
+        # edges 0.125, 0.5, 0.625 (exact binary fractions of the weights)
+        pick = mc._step_sampler([1, 3, 1, 3])
+        below_one = np.nextafter(1.0, 0.0)
+        assert pick(np.array([0.0])).tolist() == [0]
+        assert pick(np.array([below_one])).tolist() == [3]
+        # a u exactly on an edge picks the upper step
+        assert pick(np.array([0.125, 0.5, 0.625])).tolist() == [1, 2, 3]
+        assert pick(np.nextafter([0.125, 0.5, 0.625], 0.0)).tolist() == [0, 1, 2]
+        # never index k, past the last step
+        assert pick(np.linspace(0.0, below_one, 10_001)).max() == 3
 
 
 class TestStreams:
@@ -166,23 +169,50 @@ def _reference_mask(model, pos):
 
 
 def _reference_walk(model, weighted_steps, n, seed):
-    """The uncompacted walker loop: every walker, dead or alive, is stepped
-    and tested at each of the n steps."""
+    """The uncompacted walker loop under the stream contract: each step draws
+    one uniform per alive walker, hands them to the alive walkers in index
+    order and leaves dead walkers where they left the cone."""
     steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
-    table = AliasTable([float(w) for _, w in weighted_steps])
+    w = np.asarray([float(w) for _, w in weighted_steps])
+    edges = np.cumsum(w)[:-1] / w.sum()
     start = np.asarray(model.start, dtype=np.int64)
 
     def walk(stream, count):
-        rng = _stream_rng(seed, stream)
+        rng = mc._stream_rng(seed, stream)
         pos = np.tile(start, (count, 1))
         alive = np.ones(count, dtype=bool)
         for _ in range(n):
-            idx = table.sample(rng, count)
-            pos += steps[idx]
+            if not alive.any():
+                break
+            u = rng.random(int(alive.sum()))
+            pos[alive] += steps[np.searchsorted(edges, u, side="right")]
             alive &= _reference_mask(model, pos)
         return pos, alive
 
     return walk
+
+
+class _RecordingRng:
+    """Generator proxy that records the size of every ``random`` call."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self.sizes = rng, sizes
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+def _record_draws(monkeypatch):
+    """Patch ``mc._stream_rng``; return {stream: [draw sizes]} as it fills."""
+    draws = {}
+    real = mc._stream_rng
+
+    def recording(seed, stream):
+        return _RecordingRng(real(seed, stream), draws.setdefault(stream, []))
+
+    monkeypatch.setattr(mc, "_stream_rng", recording)
+    return draws
 
 
 _EXTERIOR_STEPS = {(1, 0): F(1, 6), (0, 1): F(1, 6), (-1, 0): F(1, 3), (0, -1): F(1, 3)}
@@ -208,8 +238,8 @@ def float_halfspace_2d():
 
 
 class TestCompactedWalker:
-    """The live-walker loop of ``mc._walker`` against the uncompacted loop,
-    bit for bit."""
+    """The live-walker loop of ``mc._walker`` against the uncompacted,
+    mask-based loop under the same stream contract, bit for bit."""
 
     CASES = [
         ("five_step_model", 40, 3001),
@@ -241,6 +271,28 @@ class TestCompactedWalker:
             assert survivors == [samples, samples]
         if n == 200:
             assert survivors[0] == 0  # plain: every stream stops early
+
+    @pytest.mark.parametrize("name,n,samples", CASES)
+    def test_draws_one_uniform_per_live_walker(self, request, monkeypatch,
+                                               name, n, samples):
+        model = request.getfixturevalue(name)
+        an = analyze(model.dist, model.cone)
+        draws = _record_draws(monkeypatch)
+        for weighted in (model.dist.steps, an.tilted_steps):
+            walk = mc._walker(model, weighted, n, seed=3)
+            ref = _reference_walk(model, weighted, n, seed=3)
+            for stream, count in enumerate(_stream_counts(samples)):
+                draws.clear()
+                _pos, alive = walk(stream, count)
+                got = draws.pop(stream)
+                ref(stream, count)
+                live_counts = draws.pop(stream)  # alive.sum() before each step
+                assert got == live_counts
+                assert got[0] == count and all(s > 0 for s in got)
+                if len(got) < n:  # stopped early: the last draw fed the last walkers
+                    assert not alive.any()
+                if n == 200 and weighted is model.dist.steps:
+                    assert len(got) < n  # exterior: every plain walker dies
 
     @pytest.mark.parametrize("name", ["pos_1d", "five_step_model", "octant_3d",
                                       "wedge_2d", "float_halfspace_2d"])

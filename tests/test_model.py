@@ -12,6 +12,7 @@ from conewalk import (
     brute_force_excursion,
     brute_force_survival,
     build_model,
+    excursion_sequence,
     parse_model,
 )
 from conewalk.errors import (
@@ -146,6 +147,12 @@ class TestBruteForce:
     def test_excursion_target_outside(self, five_step_model):
         with pytest.raises(PointOutsideCone):
             brute_force_excursion(five_step_model, (-1, 0), 2)
+
+    @pytest.mark.parametrize("target", [(0,), (0, 0, 0), (0, -1)])
+    def test_excursion_target_shares_the_dp_rule(self, five_step_model, target):
+        for excursion in (brute_force_excursion, excursion_sequence):
+            with pytest.raises(PointOutsideCone):
+                excursion(five_step_model, target, 2)
 
     def test_survival_non_increasing(self, five_step_model):
         a = brute_force_survival(five_step_model, 6)
