@@ -50,15 +50,15 @@ def laplace_eval(dist: StepDistribution, t):
     return value, grad, hess
 
 
-def classify_drift(m, cone: ConeSpec, tol: float = 1e-12) -> DriftClass:
+def classify_drift(m, cone: ConeSpec) -> DriftClass:
     """Position of the mean increment relative to the cone.
 
     Exact against integer normals (the orthant's included) when ``m`` holds
-    rationals; against other normals a product within ``tol`` of 0 counts
-    as 0.
+    rationals; against other normals a product within ``DEFAULT_TOL`` of 0
+    counts as 0.
     """
     mv = np.asarray([float(c) for c in m])
-    prods = [(sum(int(c) * x for c, x in zip(a, m)), 0) if exact else (float(a @ mv), tol)
+    prods = [(sum(int(c) * x for c, x in zip(a, m)), 0) if exact else (float(a @ mv), DEFAULT_TOL)
              for a, exact in zip(cone.halfspace_normals, cone.integer_normals)]
     if all(p > eps for p, eps in prods):
         return DriftClass.INTERIOR
@@ -77,18 +77,22 @@ def _check_unbounded(t, trace):
         )
 
 
-def _has_recession_direction(dist: StepDistribution, cone: ConeSpec) -> bool:
-    """True iff some dual-cone direction u has <u, v> <= 0 for every step v
-    with at least one strict inequality, so L decreases along u forever."""
+def _has_recession_direction(dist: StepDistribution, a, lower) -> bool:
+    """True iff some u = A^T lam with lam >= lower has <u, v> <= 0 for every
+    step v with at least one strict inequality, so L decreases along u forever.
+
+    With the identity and no bound this is the test over all of R^d: by
+    Stiemke's lemma it fails exactly when 0 lies in the relative interior of
+    the convex hull of the steps.
+    """
     vecs = np.asarray([v for v, _ in dist.steps], dtype=float)
     k = vecs.shape[0]
-    # u = G^T lam, lam >= 0, over the dual-cone generators G
-    g = cone.halfspace_normals
-    prods = vecs @ g.T  # <v, g_j>
+    prods = vecs @ a.T  # <v, a_j>
     a_ub = np.vstack([prods, prods.sum(axis=0)])
     b_ub = np.concatenate([np.zeros(k), [-1.0]])
-    res = linprog(np.zeros(g.shape[0]), A_ub=a_ub, b_ub=b_ub,
-                  bounds=(0, None), method="highs")
+    res = linprog(np.zeros(a.shape[0]), A_ub=a_ub, b_ub=b_ub,
+                  bounds=(None if np.isneginf(lower) else lower, None),
+                  method="highs")
     return bool(res.success)
 
 
@@ -97,20 +101,13 @@ def _armijo_ok(vn, val, predicted):
     return vn <= val + ARMIJO_C * predicted + 4e-16 * abs(val)
 
 
-def minimize_over_dual(dist: StepDistribution, cone: ConeSpec, tol: float = DEFAULT_TOL):
-    """Minimize L over the dual cone; returns (t0, rho, kkt_residual).
+def _projected_newton(dist: StepDistribution, a, lower):
+    """Minimize L(A^T lam) over lam >= lower; returns (t, L(t), residual).
 
-    The dual cone is {A^T lam : lam >= 0}, A the halfspace normals (the
-    identity for the orthant), so this is projected Newton on lam >= 0 for
-    L(A^T lam): gradient A grad L, Hessian A hess L A^T, with the Newton step
-    taken on the coordinates that are not held at the bound.
+    Gradient A grad L, Hessian A hess L A^T, with the Newton step taken on
+    the coordinates that are not held at the bound. At lower = -inf every
+    coordinate is free and this is plain Newton with an Armijo line search.
     """
-    if _has_recession_direction(dist, cone):
-        raise Unbounded(
-            "transform decreases forever along a dual-cone direction; "
-            "no dual-cone minimum exists"
-        )
-    a = cone.halfspace_normals
     m = a.shape[0]
     lam = np.zeros(m)
     values = []
@@ -120,10 +117,10 @@ def minimize_over_dual(dist: StepDistribution, cone: ConeSpec, tol: float = DEFA
         values.append(val)
         gl = a @ g
         # complementarity: coordinates at the bound need gl >= 0, free ones gl = 0
-        resid = float(np.abs(np.minimum(lam, gl)).max())
-        if resid <= tol:
+        resid = float(np.abs(np.minimum(lam - lower, gl)).max())
+        if resid <= DEFAULT_TOL:
             return t, val, resid
-        free = ~((lam <= 1e-14) & (gl > 0))
+        free = (lam - lower > 1e-14) | (gl <= 0)
         direction = np.zeros(m)
         if free.any():
             gf = gl[free]
@@ -139,7 +136,7 @@ def minimize_over_dual(dist: StepDistribution, cone: ConeSpec, tol: float = DEFA
             direction = -gl
         alpha = 1.0
         while alpha > 1e-18:
-            ln = np.maximum(lam + alpha * direction, 0.0)
+            ln = np.maximum(lam + alpha * direction, lower)
             vn, _, _ = laplace_eval(dist, a.T @ ln)
             if _armijo_ok(vn, val, float(gl @ (ln - lam))):
                 break
@@ -148,56 +145,34 @@ def minimize_over_dual(dist: StepDistribution, cone: ConeSpec, tol: float = DEFA
         _check_unbounded(a.T @ lam, values)
     t = a.T @ lam
     val, g, _ = laplace_eval(dist, t)
-    resid = float(np.abs(np.minimum(lam, a @ g)).max())
-    if resid <= tol:
+    resid = float(np.abs(np.minimum(lam - lower, a @ g)).max())
+    if resid <= DEFAULT_TOL:
         return t, val, resid
     raise NotConverged(f"projected Newton stalled at residual {resid:.3e}")
 
 
-def _support_spans_all_directions(dist: StepDistribution) -> bool:
-    """True iff 0 is interior to the convex hull of the step vectors."""
-    vecs = np.asarray([v for v, _ in dist.steps], dtype=float)
-    k, d = vecs.shape
-    # max delta s.t. theta >= delta, sum theta = 1, sum theta_v v = 0
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_eq = np.vstack([np.hstack([vecs.T, np.zeros((d, 1))]),
-                      np.hstack([np.ones((1, k)), np.zeros((1, 1))])])
-    b_eq = np.concatenate([np.zeros(d), [1.0]])
-    a_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
-    b_ub = np.zeros(k)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * k + [(None, 1)], method="highs")
-    return res.success and res.x is not None and res.x[-1] > 1e-12
+def minimize_over_dual(dist: StepDistribution, cone: ConeSpec):
+    """Minimize L over the dual cone; returns (t0, rho, kkt_residual).
+
+    The dual cone is {A^T lam : lam >= 0}, A the halfspace normals (the
+    identity for the orthant).
+    """
+    a = cone.halfspace_normals
+    if _has_recession_direction(dist, a, 0.0):
+        raise Unbounded(
+            "transform decreases forever along a dual-cone direction; "
+            "no dual-cone minimum exists"
+        )
+    return _projected_newton(dist, a, 0.0)
 
 
-def minimize_global(dist: StepDistribution, tol: float = DEFAULT_TOL):
+def minimize_global(dist: StepDistribution):
     """Unconstrained minimum of L; returns (t0_global, rho_global)."""
-    if not _support_spans_all_directions(dist):
+    a = np.eye(dist.dimension)
+    if _has_recession_direction(dist, a, -np.inf):
         raise NoGlobalMinimum("step support lies in a closed half-space")
-    t = np.zeros(dist.dimension)
-    for _ in range(MAX_ITER):
-        val, g, h = laplace_eval(dist, t)
-        if float(np.linalg.norm(g, ord=np.inf)) <= tol:
-            return t, val
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if g @ step >= 0:
-            step = -g
-        alpha = 1.0
-        while alpha > 1e-18:
-            tn = t + alpha * step
-            vn, _, _ = laplace_eval(dist, tn)
-            if _armijo_ok(vn, val, alpha * float(g @ step)):
-                break
-            alpha *= 0.5
-        t = tn
-    val, g, _ = laplace_eval(dist, t)
-    if float(np.linalg.norm(g, ord=np.inf)) <= tol:
-        return t, val
-    raise NotConverged("Newton iteration for the global minimum stalled")
+    t, val, _ = _projected_newton(dist, a, -np.inf)
+    return t, val
 
 
 def tilt_distribution(dist: StepDistribution, t0):
@@ -230,14 +205,14 @@ class LaplaceAnalysis:
     rho_global: float | None = None
 
 
-def analyze(dist: StepDistribution, cone: ConeSpec, tol: float = DEFAULT_TOL) -> LaplaceAnalysis:
+def analyze(dist: StepDistribution, cone: ConeSpec) -> LaplaceAnalysis:
     """Run the full transform analysis for a model."""
-    t0, rho, resid = minimize_over_dual(dist, cone, tol)
+    t0, rho, resid = minimize_over_dual(dist, cone)
     drift = dist.drift
     cls = classify_drift(drift, cone)
     tilted, tdrift = tilt_distribution(dist, t0)
     try:
-        tg, rg = minimize_global(dist, tol)
+        tg, rg = minimize_global(dist)
         t0_global, rho_global = tuple(float(c) for c in tg), float(rg)
     except NoGlobalMinimum:
         t0_global, rho_global = None, None
