@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conewalk import (
     ConeSpec,
@@ -19,6 +20,7 @@ from conewalk import (
     tilt_distribution,
 )
 from conewalk.errors import NoGlobalMinimum, Unbounded
+from conewalk.laplace import ARMIJO_C, DEFAULT_TOL, MAX_ITER
 
 
 def dist_1d(p, q):
@@ -192,6 +194,87 @@ class TestMinimizeGlobal:
             d = StepDistribution(1, (((1,), F(1)),))
         with pytest.raises(NoGlobalMinimum):
             minimize_global(d)
+
+
+    def test_collinear_support_has_a_minimizer(self):
+        # 0 is in the relative interior of the step hull, not its interior:
+        # L is constant along (1, 1) and minimal on a whole line
+        d = dist_from({(-2, 2): F(3, 11), (1, -1): F(8, 11)})
+        t, rho = minimize_global(d)
+        r = F(4, 3)
+        assert rho == pytest.approx(3 / 11 * float(r) ** (2 / 3)
+                                    + 8 / 11 * float(r) ** (-1 / 3), abs=1e-12)
+        assert t[1] - t[0] == pytest.approx(math.log(4 / 3) / 3, abs=1e-10)
+
+    def test_matches_plain_newton_bit_for_bit(self):
+        rng = np.random.default_rng(909)
+        dists = [dist_from({(-2, 2): F(3, 11), (1, -1): F(8, 11)})]
+        dists += [random_orthant_dist(rng, 1 + i % 3) for i in range(150)]
+        compared = 0
+        for dist in dists:
+            vecs = np.asarray([v for v, _ in dist.steps], dtype=float)
+            if not _zero_in_relative_interior(vecs):
+                with pytest.raises(NoGlobalMinimum):
+                    minimize_global(dist)
+                continue
+            got, want = minimize_global(dist), _reference_newton(dist)
+            for a, b in zip(got, want):
+                assert [float(c).hex() for c in np.atleast_1d(a)] == \
+                    [float(c).hex() for c in np.atleast_1d(b)]
+            compared += 1
+        assert compared >= 90
+
+
+@pytest.mark.parametrize("e", [30, 50, 100])
+def test_far_minimum_matches_closed_form(e):
+    # steps +1 at eps and -1 at 1 - eps: t0 = ln((1 - eps)/eps)/2 and
+    # rho = 2 sqrt(eps (1 - eps)), with L(t0) far below the stopping tolerance
+    eps = F(1, 10 ** e)
+    dist = dist_1d(eps, 1 - eps)
+    t_want = math.log(10 ** e - 1) / 2
+    rho_want = 2 * math.sqrt(float(eps * (1 - eps)))
+    t0, rho, _ = minimize_over_dual(dist, ConeSpec.orthant(1))
+    tg, rg = minimize_global(dist)
+    for t, r in ((t0, rho), (tg, rg)):
+        assert t[0] == pytest.approx(t_want, rel=1e-9)
+        assert r == pytest.approx(rho_want, rel=1e-9)
+
+
+def _reference_newton(dist):
+    """Plain Newton with an Armijo search for the unconstrained minimum of L,
+    stopping on the minimizers' relative gradient test."""
+    t = np.zeros(dist.dimension)
+    for _ in range(MAX_ITER):
+        val, g, h = laplace_eval(dist, t)
+        if float(np.linalg.norm(g, ord=np.inf)) <= DEFAULT_TOL * val:
+            return t, val
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        if g @ step >= 0:
+            step = -g
+        alpha = 1.0
+        while alpha > 1e-18:
+            tn = t + alpha * step
+            vn, _, _ = laplace_eval(dist, tn)
+            if vn <= val + ARMIJO_C * alpha * float(g @ step) + 4e-16 * abs(val):
+                break
+            alpha *= 0.5
+        t = tn
+    raise AssertionError("reference Newton did not converge")
+
+
+def _zero_in_relative_interior(vecs):
+    """max delta with theta >= delta, sum theta = 1, sum theta_v v = 0."""
+    k, d = vecs.shape
+    a_eq = np.vstack([np.hstack([vecs.T, np.zeros((d, 1))]),
+                      np.append(np.ones(k), 0.0)])
+    res = linprog(np.append(np.zeros(k), -1.0),
+                  A_ub=np.hstack([-np.eye(k), np.ones((k, 1))]), b_ub=np.zeros(k),
+                  A_eq=a_eq, b_eq=np.append(np.zeros(d), 1.0),
+                  bounds=[(None, None)] * k + [(None, 1)], method="highs")
+    return bool(res.success and res.x[-1] > 1e-12)
 
 
 class TestTilt:
