@@ -47,22 +47,17 @@ def berlekamp_massey(seq: Sequence[Fraction]) -> list[Fraction]:
         if d == 0:
             shift += 1
             continue
+        coeff = d / last_discrepancy
+        # C(x) -= coeff x^shift B(x), on a padded copy so old keeps C(x)
+        old, cur = cur, cur + [Fraction(0)] * (len(prev) + shift - len(cur))
+        for i, b in enumerate(prev):
+            cur[i + shift] -= coeff * b
         if 2 * length <= n:
-            old = cur[:]
-            coeff = d / last_discrepancy
-            cur = cur + [Fraction(0)] * (len(prev) + shift - len(cur))
-            for i, b in enumerate(prev):
-                cur[i + shift] -= coeff * b
             length = n + 1 - length
             prev = old
             last_discrepancy = d
             shift = 1
         else:
-            coeff = d / last_discrepancy
-            if len(cur) < len(prev) + shift:
-                cur = cur + [Fraction(0)] * (len(prev) + shift - len(cur))
-            for i, b in enumerate(prev):
-                cur[i + shift] -= coeff * b
             shift += 1
     # C(x) = 1 + c'_1 x + ... ; recurrence coefficients are -c'_j
     coeffs = [-c for c in cur[1:length + 1]]
