@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import DriftNotInterior
 from .exact_dp import A_INF_HORIZON, EscapeBounds, escape_probability_bounds
-from .laplace import (DriftClass, LaplaceAnalysis, classify_drift,
-                      laplace_eval, tilt_distribution)
+from .laplace import DriftClass, LaplaceAnalysis, classify_drift
 from .model import WalkModel
 
 N_STREAMS = 16
@@ -115,8 +114,7 @@ def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
 
 
 def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
-                    samples: int, seed: int, workers: int = 1,
-                    t_override=None) -> McEstimate:
+                    samples: int, seed: int, workers: int = 1) -> McEstimate:
     """Importance-sampling estimate of a_n under the exponentially tilted law.
 
     Each confined path contributes rho^n e^{<t0,x>} e^{-<t0,S_n>}; the
@@ -124,16 +122,9 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if t_override is not None:
-        t0 = np.asarray(t_override, dtype=float)
-        rho = laplace_eval(model.dist, t0)[0]
-        tilted, _ = tilt_distribution(model.dist, t0)
-    else:
-        t0 = np.asarray(analysis.t0, dtype=float)
-        rho = analysis.rho
-        tilted = analysis.tilted_steps
-    walk = _walker(model, tilted, n, seed)
-    prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
+    t0 = np.asarray(analysis.t0, dtype=float)
+    walk = _walker(model, analysis.tilted_steps, n, seed)
+    prefactor = analysis.rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 
     def worker(stream: int, count: int):
         pos, alive = walk(stream, count)

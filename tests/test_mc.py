@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -10,9 +11,11 @@ from conewalk import (
     analyze,
     build_model,
     estimate_escape,
+    laplace_eval,
     simulate_survival,
     simulate_tilted,
     survival_sequence,
+    tilt_distribution,
 )
 from conewalk import mc
 from conewalk.errors import DriftNotInterior
@@ -107,11 +110,14 @@ class TestSimulateTilted:
         assert abs(est.mean - exact) <= 4 * est.std_error
 
     def test_zero_tilt_recovers_plain_indicator(self, exterior_2d):
-        # with t_override = 0 every weight is the indicator of survival
-        an = analyze(exterior_2d.dist, exterior_2d.cone)
+        # tilted at t = 0 every weight is the indicator of survival
+        d = exterior_2d.dist
+        an = dataclasses.replace(
+            analyze(d, exterior_2d.cone), t0=(0.0, 0.0),
+            rho=laplace_eval(d, [0, 0])[0],
+            tilted_steps=tuple(tilt_distribution(d, [0, 0])[0]))
         n = 10
-        est = simulate_tilted(exterior_2d, an, n, 20_000, seed=2,
-                              t_override=[0.0, 0.0])
+        est = simulate_tilted(exterior_2d, an, n, 20_000, seed=2)
         plain = simulate_survival(exterior_2d, n, 20_000, seed=2)
         assert est.mean == pytest.approx(plain.mean, abs=1e-12)
 
