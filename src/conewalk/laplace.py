@@ -1,5 +1,12 @@
-"""Increment Laplace transform: evaluation, drift classification, minimization
-over the dual cone, and the exponential change of measure."""
+"""Increment Laplace transform: evaluation, drift classification, the two
+minimizations and the exponential change of measure.
+
+Survival decays at rho = min L over the dual cone, excursions at
+rho_global = min L over all of R^d. Both are one projected Newton on the
+coefficients lam of t = A^T lam: the dual cone takes the halfspace normals
+with lam >= 0, R^d the identity with no bound. One recession LP over the
+same (A, bound) decides beforehand whether the minimum exists.
+"""
 
 from __future__ import annotations
 
@@ -99,7 +106,7 @@ def _projected_newton(dist: StepDistribution, a, lower):
     """
     m = a.shape[0]
     lam = np.zeros(m)
-    for _ in range(MAX_ITER):
+    for it in range(MAX_ITER + 1):
         t = a.T @ lam
         val, g, h = laplace_eval(dist, t)
         gl = a @ g
@@ -108,6 +115,8 @@ def _projected_newton(dist: StepDistribution, a, lower):
         resid = float(np.abs(np.minimum(lam - lower, gl)).max())
         if resid <= DEFAULT_TOL * val:
             return t, val, resid
+        if it == MAX_ITER:
+            raise NotConverged(f"projected Newton stalled at residual {resid:.3e}")
         free = (lam - lower > 1e-14) | (gl <= 0)
         direction = np.zeros(m)
         if free.any():
@@ -130,12 +139,6 @@ def _projected_newton(dist: StepDistribution, a, lower):
                 break
             alpha *= 0.5
         lam = ln
-    t = a.T @ lam
-    val, g, _ = laplace_eval(dist, t)
-    resid = float(np.abs(np.minimum(lam - lower, a @ g)).max())
-    if resid <= DEFAULT_TOL * val:
-        return t, val, resid
-    raise NotConverged(f"projected Newton stalled at residual {resid:.3e}")
 
 
 def minimize_over_dual(dist: StepDistribution, cone: ConeSpec):
