@@ -64,7 +64,8 @@ def classify_drift(m, cone: ConeSpec) -> DriftClass:
     counts as 0.
     """
     mv = np.asarray([float(c) for c in m])
-    prods = [(sum(int(c) * x for c, x in zip(a, m)), 0) if exact else (float(a @ mv), DEFAULT_TOL)
+    prods = [(sum(int(c) * x for c, x in zip(a, m)), 0) if exact
+             else (float(a @ mv), DEFAULT_TOL)
              for a, exact in zip(cone.halfspace_normals, cone.integer_normals)]
     if all(p > eps for p, eps in prods):
         return DriftClass.INTERIOR
@@ -90,11 +91,6 @@ def _has_recession_direction(dist: StepDistribution, a, lower) -> bool:
                   bounds=(None if np.isneginf(lower) else lower, None),
                   method="highs")
     return bool(res.success)
-
-
-def _armijo_ok(vn, val, predicted):
-    # accept once the modelled decrease falls below float resolution of L
-    return vn <= val + ARMIJO_C * predicted + 4e-16 * abs(val)
 
 
 def _projected_newton(dist: StepDistribution, a, lower):
@@ -135,7 +131,8 @@ def _projected_newton(dist: StepDistribution, a, lower):
         while alpha > 1e-18:
             ln = np.maximum(lam + alpha * direction, lower)
             vn, _, _ = laplace_eval(dist, a.T @ ln)
-            if _armijo_ok(vn, val, float(gl @ (ln - lam))):
+            # accept once the modelled decrease falls below float resolution of L
+            if vn <= val + ARMIJO_C * float(gl @ (ln - lam)) + 4e-16 * abs(val):
                 break
             alpha *= 0.5
         lam = ln

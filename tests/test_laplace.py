@@ -195,16 +195,15 @@ class TestMinimizeGlobal:
         with pytest.raises(NoGlobalMinimum):
             minimize_global(d)
 
-
     def test_collinear_support_has_a_minimizer(self):
         # 0 is in the relative interior of the step hull, not its interior:
         # L is constant along (1, 1) and minimal on a whole line
         d = dist_from({(-2, 2): F(3, 11), (1, -1): F(8, 11)})
         t, rho = minimize_global(d)
-        r = F(4, 3)
-        assert rho == pytest.approx(3 / 11 * float(r) ** (2 / 3)
-                                    + 8 / 11 * float(r) ** (-1 / 3), abs=1e-12)
+        # L = 3/11 e^{2s} + 8/11 e^{-s} in s = t_2 - t_1, minimal at e^{3s} = 4/3
         assert t[1] - t[0] == pytest.approx(math.log(4 / 3) / 3, abs=1e-10)
+        assert rho == pytest.approx(3 / 11 * (4 / 3) ** (2 / 3)
+                                    + 8 / 11 * (4 / 3) ** (-1 / 3), abs=1e-12)
 
     def test_matches_plain_newton_bit_for_bit(self):
         rng = np.random.default_rng(909)
