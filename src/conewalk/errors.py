@@ -52,7 +52,8 @@ class NotConverged(ConewalkError):
 
 
 class NoGlobalMinimum(ConewalkError):
-    """Support lies in a closed half-space; no global minimum exists."""
+    """0 is outside the relative interior of the step hull: L decreases
+    forever along some direction, so no global minimum exists."""
 
 
 # --- boundary functional / escape bounds ---

@@ -157,7 +157,8 @@ def minimize_global(dist: StepDistribution):
     """Unconstrained minimum of L; returns (t0_global, rho_global)."""
     a = np.eye(dist.dimension)
     if _has_recession_direction(dist, a, -np.inf):
-        raise NoGlobalMinimum("step support lies in a closed half-space")
+        raise NoGlobalMinimum("0 is not in the relative interior of the step hull; "
+                              "no global minimum exists")
     t, val, _ = _projected_newton(dist, a, -np.inf)
     return t, val
 
