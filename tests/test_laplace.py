@@ -265,7 +265,8 @@ def _reference_newton(dist):
 
 
 def _zero_in_relative_interior(vecs):
-    """max delta with theta >= delta, sum theta = 1, sum theta_v v = 0."""
+    """True iff 0 is in the relative interior of the hull of the rows: the
+    max delta with theta >= delta, sum theta = 1, sum theta_v v = 0 is > 0."""
     k, d = vecs.shape
     a_eq = np.vstack([np.hstack([vecs.T, np.zeros((d, 1))]),
                       np.append(np.ones(k), 0.0)])
