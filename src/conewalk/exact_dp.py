@@ -5,17 +5,27 @@ largest positive step in each coordinate): entry ``pos`` holds the confined
 mass at ``pos``.  One shift-and-add kernel advances every layer stream.  Exact
 streams use ``object`` dtype with integer numerators over ``D^k`` (D = common
 weight denominator), which keeps the arithmetic exact while avoiding
-per-operation gcd reduction; the tilted functional uses ``float64``.  Survival,
-excursion, escape-bound and state readouts are sums and slices of the box;
-``_read`` feeds any set of the exact sequence readouts from one pass.
+per-operation gcd reduction; the tilted functional uses ``float64``.
+
+The kernel skips work that is zero by construction.  At step k the walk lies in
+one coset of the lattice L spanned by the step differences v - v0; with m the
+index of L in Z^d, only the residue classes mod m that the walk can occupy
+(the live residues) are read, as strided views.  Exact streams group their
+steps by weight, so each weight scales the layer once.
+
+Excursion, escape-bound and state readouts are slices and marginals of the box;
+``_read`` feeds any set of them from one unpruned pass, and carries the
+survival total from layer to layer by subtracting the mass that exits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Literal
 
 import numpy as np
@@ -94,7 +104,7 @@ def _dp_bytes(model: WalkModel, n: int) -> float:
     """Predicted peak DP memory at horizon n, in bytes.
 
     The last step holds three boxes of Python ints: its input, its output and
-    the product temporary ``c * layer[src]``; ``+=`` on a strided object view
+    the product ``c * layer`` of one weight; ``+=`` on a strided object view
     also buffers up to ``np.getbufsize()`` sums before writing them back.  The
     escape bounds keep four Fractions (eight ints) per horizon: a_k, g_k and
     the two interval ends.  An int costs an 8-byte slot, a header with
@@ -124,14 +134,60 @@ def _budget_states(model: WalkModel, n: int) -> None:
         )
 
 
-def _advance(layer: np.ndarray, steps, grow) -> np.ndarray:
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix, by Gaussian elimination
+    over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def _lattice_index(vectors) -> int:
+    """Index in Z^d of the lattice spanned by the differences v - v0 of the
+    given vectors: the gcd of their d x d minors, or 1 when that lattice is
+    not of full rank."""
+    v0, *rest = vectors
+    diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
+    m = 0
+    for rows in itertools.combinations(diffs, len(v0)):
+        m = math.gcd(m, _det(rows))
+        if m == 1:
+            break
+    return m or 1
+
+
+def _advance(layer: np.ndarray, steps, grow, m: int, live) -> np.ndarray:
     """One DP transition: the box grows by ``grow`` and each step v adds
-    c_v * layer[x] at x + v, for every x with x + v in the orthant."""
+    c_v * layer[x] at x + v, for every x with x + v in the orthant.
+
+    Only entries whose coordinates mod m form a residue in ``live`` may be
+    nonzero, so each step reads one strided view per live residue.  Each run
+    of adjacent steps with equal weight scales the layer once.
+    """
     new = np.zeros([s + g for s, g in zip(layer.shape, grow)], dtype=layer.dtype)
-    for v, c in steps:
-        src = tuple(slice(max(-a, 0), s) for a, s in zip(v, layer.shape))
-        dst = tuple(slice(max(a, 0), max(s + a, 0)) for a, s in zip(v, layer.shape))
-        new[dst] += layer[src] if c == 1 else c * layer[src]
+    for c, group in itertools.groupby(steps, key=itemgetter(1)):
+        scaled = layer if c == 1 else c * layer
+        for v, _ in group:
+            for r in live:
+                src, dst = [], []
+                for a, s, res in zip(v, layer.shape, r):
+                    lo = max(-a, 0)
+                    lo += (res - lo) % m  # first index >= max(-a, 0) in residue res
+                    src.append(slice(lo, s, m))
+                    dst.append(slice(lo + a, max(s + a, 0), m))
+                new[tuple(dst)] += scaled[tuple(src)]
+        del scaled  # free this product before the next weight forms its own
     return new
 
 
@@ -147,19 +203,31 @@ def _layers(model: WalkModel, n: int, steps, dtype, target=None) -> Iterator[np.
     _budget_states(model, n)
     grow = [max(0, *(v[i] for v, _ in steps)) for i in range(model.dimension)]
     step_bound = _step_bound(model)
+    m = _lattice_index([v for v, _ in steps])
+    live = {tuple(x % m for x in model.start)}
     layer = np.zeros([x + 1 for x in model.start], dtype=dtype)
     layer[tuple(model.start)] = 1
     yield layer
     for k in range(1, n + 1):
-        layer = _advance(layer, steps, grow)
+        layer = _advance(layer, steps, grow, m, live)
+        live = {tuple((x + a) % m for x, a in zip(r, v)) for r in live for v, _ in steps}
         if target is not None:
             layer = layer[tuple(slice(y + (n - k) * step_bound + 1) for y in target)]
         yield layer
 
 
 def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[np.ndarray]:
-    """Yield layers 0..n of integer numerators over D^k."""
+    """Yield layers 0..n of integer numerators over D^k.
+
+    Integer sums do not depend on the order of the steps, so equal weights
+    are made adjacent here, each in its first-appearance order.  Float layers
+    keep the caller's order, which fixes the order of every float sum.
+    """
     steps, _den = model.dist.integer_weights()
+    first_seen = {}
+    for _, c in steps:
+        first_seen.setdefault(c, len(first_seen))
+    steps.sort(key=lambda step: first_seen[step[1]])
     return _layers(model, n, steps, object, target)
 
 
@@ -174,15 +242,36 @@ def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
         })
 
 
-def _read(model: WalkModel, n: int, readouts, target=None) -> list[list[Fraction]]:
-    """Read sequences off one pass over the integer layers 0..n: readout j maps
-    layer k to the numerator over D^k of term k of sequence j."""
+def _exit_mass(layer: np.ndarray, v) -> int:
+    """Mass of the x in the layer with x + v outside the orthant, summed over
+    the disjoint slabs x_i < -v_i with x_j >= -v_j on the earlier axes j."""
+    mass = 0
+    for i, a in enumerate(v):
+        if a < 0:
+            slab = tuple(slice(max(-b, 0), None) for b in v[:i]) + (slice(-a),)
+            mass += layer[slab].sum()
+    return mass
+
+
+def _read(model: WalkModel, n: int, readouts) -> list[list[Fraction]]:
+    """Read the survival sequence and one sequence per readout off one
+    unpruned pass over the integer layers 0..n.  Readout j maps layer k to the
+    numerator over D^k of term k of sequence j + 1.
+
+    The survival numerator starts at 1 and steps to sum_v c_v (total - exit
+    mass of v), which holds only when every layer is the whole confined
+    mass; so this pass takes no target.
+    """
     den = model.dist.common_denominator
-    sequences = [[] for _ in readouts]
-    for k, layer in enumerate(_integer_layers(model, n, target)):
+    steps, _den = model.dist.integer_weights()
+    sequences = [[] for _ in range(len(readouts) + 1)]
+    total = 1
+    for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
-        for terms, readout in zip(sequences, readouts):
+        sequences[0].append(Fraction(total, scale))
+        for terms, readout in zip(sequences[1:], readouts):
             terms.append(Fraction(readout(layer), scale))
+        total = sum(c * (total - _exit_mass(layer, v)) for v, c in steps)
     return sequences
 
 
@@ -199,15 +288,17 @@ def _excursion_readout(model: WalkModel, y):
 
 def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
     """Exact survival probabilities a_0..a_n."""
-    [terms] = _read(model, n, [np.sum])
+    [terms] = _read(model, n, [])
     return ExactSequence(tuple(terms), "survival", model.model_hash(), n)
 
 
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n."""
     y, readout = _excursion_readout(model, y)
-    [terms] = _read(model, n, [readout], target=y)
-    return ExactSequence(tuple(terms), "excursion", model.model_hash(), n, target=y)
+    den = model.dist.common_denominator
+    terms = tuple(Fraction(readout(layer), den ** k)
+                  for k, layer in enumerate(_integer_layers(model, n, y)))
+    return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
 
 
 def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
@@ -264,14 +355,17 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
     def g_numerator(layer: np.ndarray) -> Fraction:
         g_num = Fraction(0)
         for i, g in gammas.items():
-            # Horner on the coordinate-i marginal m: sum_c m_c g^(c+1)
-            g_i = Fraction(0)
+            # sum_c m_c g^(c+1) over the coordinate-i marginal m, with g = q/p:
+            # q h / p^K, where h = sum_c m_c q^c p^(K-1-c) by Horner on ints
+            q, p = g.numerator, g.denominator
+            h, p_pow = 0, 1
             for m in layer.sum(axis=tuple(j for j in range(d) if j != i))[::-1]:
-                g_i = (g_i + m) * g
-            g_num += g_i
+                h = h * q + m * p_pow
+                p_pow *= p
+            g_num += Fraction(h * q, p_pow)
         return g_num
 
-    readouts = [np.sum, g_numerator]
+    readouts = [g_numerator]
     if target is not None:
         target, readout = _excursion_readout(model, target)
         readouts.append(readout)

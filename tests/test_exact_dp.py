@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conewalk import (
@@ -19,6 +20,7 @@ from conewalk import (
     survival_sequence,
     tilted_survival_functional,
 )
+from conewalk import exact_dp
 from conewalk.exact_dp import _dp_bytes
 from conewalk.errors import (
     DriftNotInterior,
@@ -28,6 +30,38 @@ from conewalk.errors import (
     Trapped,
     UnsupportedCone,
 )
+from conewalk.laplace import tilt_distribution
+
+
+def walk(weighted_steps, start):
+    dist = StepDistribution(len(start), tuple(weighted_steps.items()))
+    return build_model(dist, ConeSpec.orthant(len(start)), start)
+
+
+KREWERAS = walk({(-1, 0): F(1, 3), (0, -1): F(1, 3), (1, 1): F(1, 3)}, (0, 0))
+DIAGONAL = walk({(1, 1): F(1, 8), (-1, 1): F(3, 8), (1, -1): F(1, 8),
+                 (-1, -1): F(3, 8)}, (1, 2))
+
+
+def _reference_advance(layer, steps, grow):
+    """The kernel before live residues and weight runs: every step adds its
+    whole shifted box, scaled on its own."""
+    new = np.zeros([s + g for s, g in zip(layer.shape, grow)], dtype=layer.dtype)
+    for v, c in steps:
+        src = tuple(slice(max(-a, 0), s) for a, s in zip(v, layer.shape))
+        dst = tuple(slice(max(a, 0), max(s + a, 0)) for a, s in zip(v, layer.shape))
+        new[dst] += layer[src] if c == 1 else c * layer[src]
+    return new
+
+
+def _reference_layers(model, n, steps, dtype):
+    grow = [max(0, *(v[i] for v, _ in steps)) for i in range(model.dimension)]
+    layer = np.zeros([x + 1 for x in model.start], dtype=dtype)
+    layer[tuple(model.start)] = 1
+    yield layer
+    for _ in range(n):
+        layer = _reference_advance(layer, steps, grow)
+        yield layer
 
 
 class TestSurvival:
@@ -98,6 +132,67 @@ class TestLayers:
     def test_first_layer_is_start(self, five_step_model):
         first = next(iter(survival_layers(five_step_model, 0)))
         assert first.masses == {(0, 0): F(1)}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("vectors, index", [
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], 2),  # exterior, simple walk
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 2),
+        ([(1, 0), (-1, 0), (1, 1), (-1, -1)], 2),  # Gessel
+        ([(-1, 0), (0, -1), (1, 1)], 3),  # Kreweras
+        ([(1, 1), (-1, 1), (1, -1), (-1, -1)], 4),
+        ([(2,), (-3,)], 5),
+        ([(1, 0), (0, -1), (-1, 0), (0, 1), (1, 1)], 1),  # five-step
+        ([(1, 1), (-1, -1), (2, 2)], 1),  # one line: not of full rank
+    ])
+    def test_lattice_index(self, vectors, index):
+        assert exact_dp._lattice_index(vectors) == index
+
+    def test_dead_residues_hold_zero(self, exterior_2d, octant_3d, simple_walk_2d,
+                                     big_step_1d):
+        for model in (exterior_2d, octant_3d, simple_walk_2d, big_step_1d,
+                      KREWERAS, DIAGONAL):
+            vectors = [v for v, _ in model.dist.steps]
+            m = exact_dp._lattice_index(vectors)
+            assert m > 1
+            # residues mod m of start + (any k steps)
+            reach = {tuple(x % m for x in model.start)}
+            for layer in exact_dp._integer_layers(model, 12):
+                dead = np.ones(layer.shape, dtype=bool)
+                for r in reach:
+                    dead[tuple(slice(c, None, m) for c in r)] = False
+                assert not layer[dead].any() and layer[~dead].any()
+                reach = {tuple((x + a) % m for x, a in zip(r, v))
+                         for r in reach for v in vectors}
+            assert dead.any()
+
+    def test_exit_mass_total_is_layer_sum(self, pos_1d, big_step_1d, octant_3d,
+                                          big_step_2d, exterior_2d):
+        offset = walk({(1,): F(1, 4), (-1,): F(3, 4)}, (2,))
+        with pytest.warns(UserWarning, match="no confined path"):
+            dying = walk({(-1, 0): F(1, 2), (0, -1): F(1, 2)}, (1, 1))
+        for model in (pos_1d, big_step_1d, octant_3d, big_step_2d, exterior_2d,
+                      offset, KREWERAS, DIAGONAL, dying):
+            survival, layer_sums = exact_dp._read(model, 10, [np.sum])
+            assert survival == layer_sums
+        assert survival[2] > 0 and survival[3:] == [0] * 8
+
+    def test_layers_match_reference_kernel(self, exterior_2d, octant_3d):
+        for model, n in ((exterior_2d, 40), (octant_3d, 15)):
+            t0 = analyze(model.dist, model.cone).t0
+            tilted, _drift = tilt_distribution(model.dist, t0)
+            steps, _den = model.dist.integer_weights()
+            for weights, dtype, layers in (
+                    (tilted, float, exact_dp._layers(model, n, tilted, float)),
+                    (steps, object, exact_dp._integer_layers(model, n))):
+                reference = _reference_layers(model, n, weights, dtype)
+                for layer, ref in zip(layers, reference, strict=True):
+                    assert layer.shape == ref.shape
+                    if dtype is float:
+                        assert [x.hex() for x in layer.ravel().tolist()] == \
+                            [x.hex() for x in ref.ravel().tolist()]
+                    else:
+                        assert layer.ravel().tolist() == ref.ravel().tolist()
 
 
 class TestExcursion:
@@ -262,14 +357,19 @@ class TestMemoryBudget:
         seq = survival_sequence(five_step_model, 5)
         assert len(seq.terms) == 6
 
-    def test_prediction_covers_traced_peak(self, five_step_model):
+    def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d):
+        # the exterior's integer weights 1, 1, 2, 2 keep a scaled box alive
+        # through a step
         n = 60
         survival_sequence(five_step_model, 2)
-        tracemalloc.start()
-        try:
-            survival_sequence(five_step_model, n)
-            escape_probability_bounds(five_step_model, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= _dp_bytes(five_step_model, n)
+        for model, passes in (
+                (five_step_model, (survival_sequence, escape_probability_bounds)),
+                (exterior_2d, (survival_sequence,))):
+            tracemalloc.start()
+            try:
+                for run in passes:
+                    run(model, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= _dp_bytes(model, n)
