@@ -4,8 +4,8 @@ minimizations and the exponential change of measure.
 Survival decays at rho = min L over the dual cone, excursions at
 rho_global = min L over all of R^d. Both are one projected Newton on the
 coefficients lam of t = A^T lam: the dual cone takes the halfspace normals
-with lam >= 0, R^d the identity with no bound. One recession LP over the
-same (A, bound) decides beforehand whether the minimum exists.
+with lam >= 0, R^d the identity with no bound. One exact recession test over
+the same (A, bound) decides beforehand whether the minimum exists.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NoGlobalMinimum, NotConverged, Overflow, Unbounded
-from .model import ConeSpec, StepDistribution
+from .model import ConeSpec, StepDistribution, _feasible
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 200
@@ -82,15 +81,34 @@ def _has_recession_direction(dist: StepDistribution, a, lower) -> bool:
     Stiemke's lemma it fails exactly when 0 lies in the relative interior of
     the convex hull of the steps.
     """
-    vecs = np.asarray([v for v, _ in dist.steps], dtype=float)
-    k = vecs.shape[0]
-    prods = vecs @ a.T  # <v, a_j>
-    a_ub = np.vstack([prods, prods.sum(axis=0)])
-    b_ub = np.concatenate([np.zeros(k), [-1.0]])
-    res = linprog(np.zeros(a.shape[0]), A_ub=a_ub, b_ub=b_ub,
-                  bounds=(None if np.isneginf(lower) else lower, None),
-                  method="highs")
-    return bool(res.success)
+    # each lam_j may be rescaled, so a_j can be scaled to an integer vector
+    normals = []
+    for row in a:
+        exact = [Fraction(c) for c in row]
+        den = math.lcm(*(x.denominator for x in exact))
+        normals.append([int(x * den) for x in exact])
+    prods = [[sum(c * x for c, x in zip(v, n)) for n in normals]  # <v, a_j> * den_j
+             for v, _ in dist.steps]
+    rows = prods + [[sum(col) for col in zip(*prods)]]
+    return _feasible(rows, [0] * len(prods) + [-1], [bool(np.isneginf(lower))] * len(a))
+
+
+def _dual_generators(a):
+    """The rows of ``a`` less every row that is a nonnegative combination of
+    the rows kept; they generate the same dual cone.
+
+    A redundant generator can stall the projected Newton: collinear steps over
+    {x >= 0, x + y >= 0, y >= 0} did not converge in its three coefficients.
+    """
+    keep = list(range(len(a)))
+    for j in range(len(a)):
+        others = [a[i] for i in keep if i != j]
+        # a_j = sum lam_i a_i with lam >= 0, the equality as two inequalities
+        rows = [[o[c] for o in others] for c in range(a.shape[1])]
+        rows += [[-x for x in row] for row in rows]
+        if _feasible(rows, list(a[j]) + list(-a[j]), [False] * len(others)):
+            keep.remove(j)
+    return a if len(keep) == len(a) else a[keep]
 
 
 def _projected_newton(dist: StepDistribution, a, lower):
@@ -142,9 +160,9 @@ def minimize_over_dual(dist: StepDistribution, cone: ConeSpec):
     """Minimize L over the dual cone; returns (t0, rho, kkt_residual).
 
     The dual cone is {A^T lam : lam >= 0}, A the halfspace normals (the
-    identity for the orthant).
+    identity for the orthant) less the redundant ones.
     """
-    a = cone.halfspace_normals
+    a = _dual_generators(cone.halfspace_normals)
     if _has_recession_direction(dist, a, 0.0):
         raise Unbounded(
             "transform decreases forever along a dual-cone direction; "

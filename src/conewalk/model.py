@@ -16,7 +16,6 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     EmptyConeInterior,
@@ -52,6 +51,49 @@ def _rational_rank(vectors: list[tuple[int, ...]], d: int) -> int:
         if rank == d:
             break
     return rank
+
+
+def _feasible(rows, rhs, free) -> bool:
+    """True iff {y : rows . y <= rhs, y_i >= 0 unless free[i]} is non-empty.
+
+    Exact phase-1 simplex over ``Fraction``: entries may be ints, floats or
+    Fractions, and each converts exactly.  A free y_i is split as y_i+ - y_i-,
+    every row gets a slack, and a row with negative rhs is negated and starts
+    on an artificial basic variable.  Bland's rule (lowest entering column,
+    lowest basic variable among tied ratios) cannot cycle, so the loop stops
+    at a minimum of the artificial sum, which is 0 iff the system is feasible.
+    An artificial that leaves the basis never re-enters.
+    """
+    m = len(rows)
+    ncols = len(free) + sum(map(bool, free)) + m
+    zero, one = Fraction(0), Fraction(1)
+    tab, basis = [], []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        coeffs = [Fraction(c) for c in row]
+        coeffs += [-c for c, f in zip(coeffs, free) if f]
+        line = coeffs + [one if k == i else zero for k in range(m)] + [Fraction(b)]
+        if line[-1] < 0:
+            tab.append([-c for c in line])
+            basis.append(ncols + i)  # artificial: indexed after every column
+        else:
+            tab.append(line)
+            basis.append(len(coeffs) + i)
+    while True:
+        art = [i for i in range(m) if basis[i] >= ncols]
+        # the artificial sum falls along column j iff its entries over the
+        # artificial rows sum to > 0 (a negative reduced cost)
+        col = next((j for j in range(ncols) if sum(tab[i][j] for i in art) > 0), None)
+        if col is None:
+            return all(tab[i][-1] == 0 for i in art)
+        _, _, r = min((tab[i][-1] / tab[i][col], basis[i], i)
+                      for i in range(m) if tab[i][col] > 0)
+        pivot = tab[r][col]
+        tab[r] = prow = [c / pivot for c in tab[r]]
+        for i in range(m):
+            f = tab[i][col]
+            if i != r and f:
+                tab[i] = [a - f * b if b else a for a, b in zip(tab[i], prow)]
+        basis[r] = col
 
 
 @dataclass(frozen=True)
@@ -177,17 +219,9 @@ class ConeSpec:
         return np.where(self.integer_normals, 0.0, 1e-12 * norms)
 
     def _has_interior_point(self) -> bool:
-        # max delta s.t. <a_j, x> >= delta, |x_i| <= 1; interior iff delta > 0
-        a = self.halfspace_normals
-        m, d = a.shape
-        # variables (x, delta); maximize delta
-        c = np.zeros(d + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-a, np.ones((m, 1))])
-        b_ub = np.zeros(m)
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(-1, 1)] * d + [(None, 1)], method="highs")
-        return res.success and res.x is not None and res.x[-1] > 1e-9
+        # some x has <a_j, x> > 0 for every j iff, scaled, <a_j, x> >= 1 does
+        return _feasible([[-c for c in a] for a in self.normals],
+                         [-1] * len(self.normals), [True] * self.dimension)
 
     def inside(self, points) -> np.ndarray:
         """Mask of the rows of the (m, d) lattice points that lie in the cone.

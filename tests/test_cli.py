@@ -315,3 +315,20 @@ class TestOutputs:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["laplace"]["classification"] == "exterior"
+
+    def test_runs_without_scipy(self, five_step_path, tmp_path):
+        # scipy is a test dependency only; analyze rejects halfspace cones
+        # (exact DP is orthant-only), so rho runs the wedge's existence tests
+        wedge = tmp_path / "wedge.json"
+        wedge.write_text(json.dumps(
+            dict(FIVE_STEP, cone={"type": "halfspaces", "normals": [[1, 0], [1, -1]]})))
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from conewalk.cli import run_report\n"
+            f"_, a = run_report(['analyze', '--model', {five_step_path!r}, '--horizon', '12'])\n"
+            f"_, b = run_report(['rho', '--model', {str(wedge)!r}])\n"
+            "sys.exit(a or b)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -20,7 +20,7 @@ from conewalk import (
     tilt_distribution,
 )
 from conewalk.errors import NoGlobalMinimum, Unbounded
-from conewalk.laplace import ARMIJO_C, DEFAULT_TOL, MAX_ITER
+from conewalk.laplace import ARMIJO_C, DEFAULT_TOL, MAX_ITER, _dual_generators
 
 
 def dist_1d(p, q):
@@ -175,6 +175,34 @@ class TestMinimizeOverDual:
         t0, rho, resid = minimize_over_dual(dist, ConeSpec.polyhedral(normals))
         assert resid <= 1e-12
         assert rho == pytest.approx(rho_want, abs=1e-12)
+
+    @pytest.mark.parametrize("steps, rho_want", [
+        ({(-2, 2): F(3, 4), (1, -1): F(1, 4)}, 3 / 8 * 6 ** (1 / 3)),
+        ({(-1, -1): F(7, 13), (1, 1): F(6, 13)}, 2 * math.sqrt(42) / 13),
+    ], ids=["antidiagonal", "diagonal"])
+    def test_redundant_normal_is_dropped(self, steps, rho_want):
+        # x + y >= 0 follows from x, y >= 0; as a third generator of the dual
+        # cone it stalls the projected Newton on these collinear steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dist = dist_from(steps)
+        got = minimize_over_dual(dist, ConeSpec.polyhedral([[1, 0], [1, 1], [0, 1]]))
+        want = minimize_over_dual(dist, ConeSpec.orthant(2))
+        for a, b in zip(got, want):
+            assert [float(c).hex() for c in np.atleast_1d(a)] == \
+                [float(c).hex() for c in np.atleast_1d(b)]
+        assert got[1] == pytest.approx(rho_want, abs=1e-12)
+
+
+@pytest.mark.parametrize("normals, kept", [
+    ([[1, 0], [1, 1], [0, 1]], [[1, 0], [0, 1]]),
+    ([[1, 0], [2, 0], [0, 1]], [[2, 0], [0, 1]]),  # one of two parallel normals
+    ([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+     [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]),
+])
+def test_dual_generators(normals, kept):
+    a = ConeSpec.polyhedral(normals).halfspace_normals
+    assert _dual_generators(a).tolist() == kept
 
 
 class TestMinimizeGlobal:

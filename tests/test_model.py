@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conewalk import (
     ConeSpec,
@@ -22,7 +26,7 @@ from conewalk.errors import (
     PointOutsideCone,
     WeightsNotNormalized,
 )
-from conewalk.model import DegenerateDistributionWarning
+from conewalk.model import DegenerateDistributionWarning, _feasible
 
 FIVE_STEP_DOC = {
     "dimension": 2,
@@ -111,6 +115,12 @@ class TestParsing:
                    start=[0, 0])
         with pytest.raises(EmptyConeInterior):
             parse_model(json.dumps(doc))
+
+    def test_thin_float_cone_has_an_interior(self):
+        # (1, 2e10 + 1) lies strictly inside, but the margin at |x_i| <= 1 is
+        # only 5e-11: a float tolerance of 1e-9 would call the cone empty
+        cone = ConeSpec.polyhedral([[1, 0], [-1, 1e-10]])
+        assert cone.strictly_contains((1, 2 * 10 ** 10 + 1))
 
     def test_duplicate_step(self):
         doc = dict(FIVE_STEP_DOC, steps=[{"v": [1, 0], "w": "1/2"},
@@ -203,3 +213,49 @@ class TestRandomizedModels:
         a = brute_force_survival(model, 4)
         if model.trapped:
             assert all(x == 1 for x in a)
+
+
+# Beale's LP: max 3/4 y0 - 20 y1 + 1/2 y2 - 6 y3 over y >= 0 and the first
+# three rows, optimum 5/4.  The last row asks for an objective of at least
+# its -rhs, so phase 1 runs the simplex on Beale's objective from the
+# degenerate vertex 0, where the largest-coefficient rule cycles.
+BEALE_ROWS = [[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3], [0, 0, 1, 0],
+              [F(-3, 4), 20, F(-1, 2), 6]]
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    free = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return rows, rhs, free
+
+
+class TestFeasible:
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    def test_agrees_with_linprog(self, system):
+        rows, rhs, free = system
+        res = linprog(np.zeros(len(free)), A_ub=rows, b_ub=rhs,
+                      bounds=[(None, None) if f else (0, None) for f in free],
+                      method="highs")
+        assert res.status in (0, 2)  # feasible or infeasible
+        assert _feasible(rows, rhs, free) == (res.status == 0)
+
+    def test_beale_cycling_lp_terminates(self):
+        # a rule that cycles never returns: run in a child with a timeout
+        code = (
+            "from fractions import Fraction\n"
+            "from conewalk.model import _feasible\n"
+            f"rows = {BEALE_ROWS!r}\n"
+            "print(_feasible(rows, [0, 0, 1, Fraction(-5, 4)], [False] * 4),\n"
+            "      _feasible(rows, [0, 0, 1, Fraction(-126, 100)], [False] * 4))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
