@@ -18,7 +18,6 @@ from .errors import (
     MemoryBudgetExceeded,
 )
 from .exact_dp import A_INF_HORIZON
-from .laplace import DriftClass
 from .model import excursion_target, load_model
 
 DEFAULT_HORIZON = 120
@@ -82,24 +81,22 @@ def run_report(argv) -> tuple[dict, int]:
             raise ConewalkError(f"--horizon must be non-negative, got {horizon}")
         if args.kmax < 1:
             raise ConewalkError(f"--kmax must be positive, got {args.kmax}")
+        if args.samples < 0:
+            raise ConewalkError(f"--samples must be non-negative, got {args.samples}")
         doc = report.base_report(model)
         sequences: dict[str, exact_dp.ExactSequence] = {}
         verdicts: dict = {}
 
-        bounds_model = model.small_step and not model.trapped and model.cone.is_orthant
-        analysis = None  # bounds runs Laplace only on models it accepts
-        if command != "bounds" or bounds_model:
-            try:
-                analysis = laplace.analyze(model.dist, model.cone)
-                doc["laplace"] = report.laplace_block(analysis)
-            except ConewalkError:
-                if command not in ("enumerate", "guess"):
-                    raise
-        bounds_apply = (bounds_model and analysis is not None
-                        and analysis.classification is DriftClass.INTERIOR)
-        if command == "bounds" and not bounds_apply:
-            raise ConewalkError("escape bounds need a small-step, non-trapped "
-                                "orthant model with interior drift")
+        bounds_error = exact_dp.bounds_error(model)
+        if command == "bounds" and bounds_error is not None:
+            raise bounds_error
+        analysis = None
+        try:
+            analysis = laplace.analyze(model.dist, model.cone)
+            doc["laplace"] = report.laplace_block(analysis)
+        except ConewalkError:
+            if command not in ("enumerate", "guess"):
+                raise
 
         target = None
         if command == "excursion" or (command == "analyze"
@@ -108,23 +105,19 @@ def run_report(argv) -> tuple[dict, int]:
                 model, _parse_target(args.target) if args.target is not None
                 else model.start)
 
-        # One bounds pass yields survival, a_inf, the bounds block and the
-        # excursion. Past A_INF_HORIZON enumerate and guess need only a_inf:
-        # stop the bounds there.
+        # On a bounds model one pass yields survival, a_inf, the bounds block
+        # and the excursion.
         survival = command in ("analyze", "enumerate", "guess")
         if survival:  # the verdict guesses a recurrence of order at least 1
             seqlab.require_terms(horizon + 1, 1)
-        report_bounds = command in ("analyze", "bounds")
         bounds = None
-        if bounds_apply and (report_bounds or (survival and horizon <= A_INF_HORIZON)):
+        if bounds_error is None and (survival or command == "bounds"):
             bounds = exact_dp.escape_probability_bounds(model, horizon, target)
-            if report_bounds:
+            if command in ("analyze", "bounds"):
                 doc["bounds"] = report.bounds_block(bounds)
         if survival:
             seq = (bounds.survival if bounds is not None
                    else exact_dp.survival_sequence(model, horizon))
-            if bounds_apply and bounds is None:
-                bounds = exact_dp.escape_probability_bounds(model, A_INF_HORIZON)
             sequences["survival"] = seq
             verdicts["survival"] = report.verdict_block(
                 _survival_verdict(seq, analysis, bounds, args.kmax))

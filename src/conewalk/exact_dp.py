@@ -13,9 +13,11 @@ index of L in Z^d, only the residue classes mod m that the walk can occupy
 (the live residues) are read, as strided views.  Exact streams group their
 steps by weight, so each weight scales the layer once.
 
-Excursion, escape-bound and state readouts are slices and marginals of the box;
-``_read`` feeds any set of them from one unpruned pass, and carries the
-survival total from layer to layer by subtracting the mass that exits.
+``_read`` feeds any set of readouts from one unpruned pass.  It carries the
+survival total and the g-functional of the escape bounds from layer to layer by
+subtracting what exits through the boundary slabs: both f = 1 and g are
+harmonic for the free walk, so neither sums the box.  The excursion and state
+readouts are slices of the box.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .errors import (
+    ConewalkError,
     DriftNotInterior,
     MemoryBudgetExceeded,
     NotSmallStep,
@@ -38,7 +41,7 @@ from .errors import (
     UnsupportedCone,
 )
 from .laplace import DriftClass, classify_drift, tilt_distribution
-from .model import WalkModel, excursion_target
+from .model import WalkModel, _echelon_pivots, excursion_target
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
 A_INF_HORIZON = 100  # escape bounds at horizons 0..100 estimate P(tau = inf)
@@ -134,37 +137,12 @@ def _budget_states(model: WalkModel, n: int) -> None:
         )
 
 
-def _det(rows) -> int:
-    """Exact determinant of a square integer matrix, by Gaussian elimination
-    over the rationals."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(len(a)):
-        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, len(a)):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return int(det)
-
-
 def _lattice_index(vectors) -> int:
     """Index in Z^d of the lattice spanned by the differences v - v0 of the
-    given vectors: the gcd of their d x d minors, or 1 when that lattice is
-    not of full rank."""
+    given vectors, or 1 when that lattice is not of full rank."""
     v0, *rest = vectors
-    diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
-    m = 0
-    for rows in itertools.combinations(diffs, len(v0)):
-        m = math.gcd(m, _det(rows))
-        if m == 1:
-            break
-    return m or 1
+    pivots = _echelon_pivots([[a - b for a, b in zip(v, v0)] for v in rest], len(v0))
+    return abs(math.prod(pivots)) if len(pivots) == len(v0) else 1
 
 
 def _advance(layer: np.ndarray, steps, grow, m: int, live) -> np.ndarray:
@@ -242,36 +220,43 @@ def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
         })
 
 
-def _exit_mass(layer: np.ndarray, v) -> int:
-    """Mass of the x in the layer with x + v outside the orthant, summed over
-    the disjoint slabs x_i < -v_i with x_j >= -v_j on the earlier axes j."""
-    mass = 0
+def _exit_slabs(layer: np.ndarray, v):
+    """Yield the disjoint slabs x_i < -v_i with x_j >= -v_j on the earlier
+    axes j, which together hold the x in the layer with x + v outside the
+    orthant; each with ``corner``, the point x + v at its first entry."""
     for i, a in enumerate(v):
         if a < 0:
-            slab = tuple(slice(max(-b, 0), None) for b in v[:i]) + (slice(-a),)
-            mass += layer[slab].sum()
-    return mass
+            lo = [max(-b, 0) for b in v[:i]] + [0] * (len(v) - i)
+            slab = tuple(slice(c, None) for c in lo[:i]) + (slice(-a),)
+            yield layer[slab], [c + b for c, b in zip(lo, v)]
 
 
-def _read(model: WalkModel, n: int, readouts) -> list[list[Fraction]]:
-    """Read the survival sequence and one sequence per readout off one
-    unpruned pass over the integer layers 0..n.  Readout j maps layer k to the
-    numerator over D^k of term k of sequence j + 1.
+def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]]:
+    """Read the survival sequence, one sequence per carried functional and one
+    per readout, in that order, off one unpruned pass over the integer layers
+    0..n.  Readout j maps a layer to the numerator over D^k of its term k.
 
-    The survival numerator starts at 1 and steps to sum_v c_v (total - exit
-    mass of v), which holds only when every layer is the whole confined
-    mass; so this pass takes no target.
+    A carried functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
+    free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
+    to sum_v c_v (F_k - sum of layer_k[x] f(x + v) over the x with x + v
+    outside the orthant).  It is given as the pair (f(start), exit_sum), where
+    ``exit_sum(slab, corner)`` sums slab[c] f(corner + c) over one slab of
+    ``_exit_slabs``.  Survival is the functional f = 1.  The step holds only
+    when every layer is the whole confined mass; so this pass takes no target.
     """
     den = model.dist.common_denominator
     steps, _den = model.dist.integer_weights()
-    sequences = [[] for _ in range(len(readouts) + 1)]
-    total = 1
+    carried = [(1, lambda slab, corner: slab.sum()), *carried]
+    values = [start for start, _ in carried]
+    sequences = [[] for _ in range(len(carried) + len(readouts))]
     for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
-        sequences[0].append(Fraction(total, scale))
-        for terms, readout in zip(sequences[1:], readouts):
-            terms.append(Fraction(readout(layer), scale))
-        total = sum(c * (total - _exit_mass(layer, v)) for v, c in steps)
+        terms = values + [readout(layer) for readout in readouts]
+        for sequence, term in zip(sequences, terms):
+            sequence.append(Fraction(term, scale))
+        values = [sum(c * (value - sum(exit_sum(*s) for s in _exit_slabs(layer, v)))
+                      for v, c in steps)
+                  for value, (_, exit_sum) in zip(values, carried)]
     return sequences
 
 
@@ -318,58 +303,71 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     return [readout(layer) for layer in _layers(model, n, tilted, float)]
 
 
-def _interior_smallstep_gamma(model: WalkModel) -> dict[int, Fraction]:
-    """Per-coordinate descent/ascent weight ratios for the exit functional."""
+def bounds_error(model: WalkModel) -> ConewalkError | None:
+    """The rule for when the escape bounds apply: a small-step, non-trapped
+    orthant walk whose drift is interior by ``classify_drift``.  Return the
+    typed error of the first condition the model fails, or None."""
+    if not model.cone.is_orthant:
+        return UnsupportedCone("the boundary exit functional needs the orthant")
     if not model.small_step:
-        raise NotSmallStep("the boundary exit functional needs steps in {-1,0,1}^d")
+        return NotSmallStep("the boundary exit functional needs steps in {-1,0,1}^d")
     if classify_drift(model.dist.drift, model.cone) is not DriftClass.INTERIOR:
-        raise DriftNotInterior("the boundary exit functional needs an interior drift")
-    gammas = {}
-    for i in range(model.dimension):
-        p, _r, q = model.dist.marginal(i)
-        if q > 0:
-            # interior drift forces p > q > 0 on this coordinate
-            gammas[i] = q / p
-    if not gammas:
-        raise Trapped("no coordinate ever decreases; the walk cannot exit")
-    return gammas
+        return DriftNotInterior("the boundary exit functional needs an interior drift")
+    if model.trapped:
+        return Trapped("no coordinate ever decreases; the walk cannot exit")
+    return None
+
+
+def _gammas(model: WalkModel) -> dict[int, Fraction]:
+    """Per-coordinate descent/ascent weight ratios q_i/p_i of the exit
+    functional, over the coordinates that can decrease."""
+    error = bounds_error(model)
+    if error is not None:
+        raise error
+    marginals = [model.dist.marginal(i) for i in range(model.dimension)]
+    # interior drift forces p > q > 0 on each coordinate that can decrease
+    return {i: q / p for i, (p, _r, q) in enumerate(marginals) if q > 0}
+
+
+def _power_sum(m, g: Fraction, e: int) -> Fraction:
+    """sum_c m[c] g^(c+e) over a 1D integer array m.  With g = q/p this is
+    q^e h / p^(K-1+e), where h = sum_c m[c] q^c p^(K-1-c) by Horner on ints."""
+    q, p = g.numerator, g.denominator
+    h, p_pow = 0, 1
+    for x in m[::-1]:
+        h = h * q + x * p_pow
+        p_pow *= p
+    return Fraction(h * p * q ** e, p_pow * p ** e)
 
 
 def boundary_exit_g(model: WalkModel, y) -> Fraction:
     """Exact upper harmonic bound g(y) on the exit probability from y."""
     y = tuple(int(c) for c in y)
-    gammas = _interior_smallstep_gamma(model)
-    return sum((g ** (y[i] + 1) for i, g in gammas.items()), Fraction(0))
+    return sum((g ** (y[i] + 1) for i, g in _gammas(model).items()), Fraction(0))
 
 
 def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBounds:
     """Per-horizon intervals [a_k - g_k, a_k - g_k/d] around P^x(tau=inf).
 
+    g_k = sum_x P^x(tau > k, S_k = x) g(x) is carried by exit mass like a_k.
     With a target y, the same pass also reads the excursion sequence at y.
     """
-    gammas = _interior_smallstep_gamma(model)
-    if model.trapped:
-        raise Trapped("trapped walk: the escape probability is exactly 1")
+    gammas = _gammas(model)
     d = model.dimension
 
-    def g_numerator(layer: np.ndarray) -> Fraction:
-        g_num = Fraction(0)
-        for i, g in gammas.items():
-            # sum_c m_c g^(c+1) over the coordinate-i marginal m, with g = q/p:
-            # q h / p^K, where h = sum_c m_c q^c p^(K-1-c) by Horner on ints
-            q, p = g.numerator, g.denominator
-            h, p_pow = 0, 1
-            for m in layer.sum(axis=tuple(j for j in range(d) if j != i))[::-1]:
-                h = h * q + m * p_pow
-                p_pow *= p
-            g_num += Fraction(h * q, p_pow)
-        return g_num
+    def exit_g(slab: np.ndarray, corner) -> Fraction:
+        # g(x) = sum_i g_i^(x_i + 1), so each term is a power sum over the
+        # slab's coordinate-i marginal
+        return sum((_power_sum(slab.sum(axis=tuple(j for j in range(d) if j != i)),
+                               g, corner[i] + 1) for i, g in gammas.items()),
+                   Fraction(0))
 
-    readouts = [g_numerator]
+    readouts = []
     if target is not None:
         target, readout = _excursion_readout(model, target)
         readouts.append(readout)
-    a_terms, g_terms, *e_terms = _read(model, n, readouts)
+    a_terms, g_terms, *e_terms = _read(
+        model, n, readouts, [(boundary_exit_g(model, model.start), exit_g)])
     intervals = [(a_k - g_k, a_k - g_k / d) for a_k, g_k in zip(a_terms, g_terms)]
 
     best_lo = max(lo for lo, _ in intervals)

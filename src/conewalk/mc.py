@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DriftNotInterior
-from .exact_dp import A_INF_HORIZON, EscapeBounds, escape_probability_bounds
+from .exact_dp import A_INF_HORIZON, EscapeBounds, bounds_error, escape_probability_bounds
 from .laplace import DriftClass, LaplaceAnalysis, classify_drift
 from .model import WalkModel
 
@@ -162,6 +162,6 @@ def estimate_escape(model: WalkModel, n: int, samples: int, seed: int,
     est = McEstimate(target="escape", mean=est.mean, std_error=est.std_error,
                      samples=est.samples, method="plain", seed=seed, horizon=n)
     bounds = None
-    if model.small_step and not model.trapped and model.cone.is_orthant:
+    if bounds_error(model) is None:
         bounds = escape_probability_bounds(model, min(n, A_INF_HORIZON))
     return EscapeEstimate(estimate=est, bounds=bounds)

@@ -33,24 +33,23 @@ class DegenerateDistributionWarning(UserWarning):
     """The step set does not span the full ambient dimension."""
 
 
-def _rational_rank(vectors: list[tuple[int, ...]], d: int) -> int:
-    """Rank of integer vectors via fraction-free Gaussian elimination."""
-    rows = [list(map(Fraction, v)) for v in vectors]
-    rank = 0
+def _echelon_pivots(vectors, d: int) -> list[int]:
+    """Pivots of an integer row echelon (Hermite) form of the vectors in Z^d,
+    one column at a time by the extended Euclidean algorithm on the rows.
+    Their number is the rank; at full rank, the absolute value of their
+    product is the index in Z^d of the lattice the vectors span."""
+    rows = [list(v) for v in vectors]
+    pivots = []
     for col in range(d):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == d:
-            break
-    return rank
+        while len(live := [r for r in rows if r[col]]) > 1:
+            # subtracting a multiple of one row from another is unimodular
+            p = min(live, key=lambda r: abs(r[col]))
+            rows = [r if r is p else [x - r[col] // p[col] * y for x, y in zip(r, p)]
+                    for r in rows]
+        if live:
+            pivots.append(live[0][col])
+            rows.remove(live[0])
+    return pivots
 
 
 def _feasible(rows, rhs, free) -> bool:
@@ -130,9 +129,10 @@ class StepDistribution:
                 stacklevel=2,
             )
 
-    @property
+    @cached_property
     def truly_d_dimensional(self) -> bool:
-        return _rational_rank([v for v, _ in self.steps], self.dimension) == self.dimension
+        pivots = _echelon_pivots([v for v, _ in self.steps], self.dimension)
+        return len(pivots) == self.dimension
 
     @property
     def drift(self) -> tuple[Fraction, ...]:

@@ -5,7 +5,16 @@ import sys
 
 import pytest
 
-from conewalk import exact_dp, excursion_sequence, load_model, survival_sequence
+from conewalk import (
+    cli,
+    escape_probability_bounds,
+    exact_dp,
+    excursion_sequence,
+    laplace,
+    load_model,
+    report,
+    survival_sequence,
+)
 from conewalk.cli import main, run_report
 
 FIVE_STEP = {
@@ -54,6 +63,18 @@ def pos_1d_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "pos1d.json"
     path.write_text(json.dumps(POS_1D))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def two_pass_verdict(five_step_path):
+    """The survival verdict block of five-step at horizon 150, built from the
+    two passes the CLI once made for it: survival to 150, and escape bounds to
+    A_INF_HORIZON for a_inf."""
+    model = load_model(five_step_path)
+    verdict = cli._survival_verdict(
+        survival_sequence(model, 150), laplace.analyze(model.dist, model.cone),
+        escape_probability_bounds(model, exact_dp.A_INF_HORIZON), cli.DEFAULT_KMAX)
+    return report.verdict_block(verdict)
 
 
 @pytest.fixture
@@ -188,11 +209,39 @@ class TestDpPasses:
         assert dp_passes == [60]
 
     def test_enumerate_past_a_inf_horizon(self, pos_1d_path, dp_passes):
-        # survival to the horizon, bounds only as far as a_inf needs
+        # a_inf reads the intervals up to A_INF_HORIZON off the survival pass
         _, code = run_report(["enumerate", "--model", pos_1d_path,
                               "--horizon", "150"])
         assert code == 0
-        assert dp_passes == [150, 100]
+        assert dp_passes == [150]
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "guess", "bounds"])
+    def test_one_pass_on_a_bounds_model(self, five_step_path, two_pass_verdict,
+                                        dp_passes, command):
+        doc, code = run_report([command, "--model", five_step_path,
+                                "--horizon", "150"])
+        assert code == 0
+        assert dp_passes == [150]
+        if command != "bounds":
+            assert doc["verdicts"]["survival"] == two_pass_verdict
+
+    def test_bounds_rule_fails_before_laplace(self, tmp_path, dp_passes, monkeypatch):
+        # Laplace would raise Unbounded here: every step points out of the cone
+        path = tmp_path / "dying.json"
+        path.write_text(json.dumps(dict(
+            FIVE_STEP, steps=[{"v": [-1, 0], "w": "1/2"}, {"v": [0, -1], "w": "1/2"}],
+            start=[1, 1])))
+
+        def no_laplace(*args):
+            raise AssertionError("Laplace ran")
+
+        monkeypatch.setattr(laplace, "analyze", no_laplace)
+        with pytest.warns(UserWarning, match="no confined path"):
+            doc, code = run_report(["bounds", "--model", str(path)])
+        assert code == 2
+        assert doc["error"] == ("DriftNotInterior: the boundary exit functional "
+                                "needs an interior drift")
+        assert dp_passes == []
 
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "guess"])
     def test_too_short_horizon_fails_before_the_dp(self, five_step_path, neg_1d_path,
@@ -253,6 +302,15 @@ class TestErrorsAndExitCodes:
                                 "--horizon", "-5", "--samples", "10"])
         assert code == 2
         assert "--horizon must be non-negative" in doc["error"]
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",
+                                         "bounds", "guess", "simulate"])
+    def test_negative_samples(self, five_step_path, dp_passes, command):
+        doc, code = run_report([command, "--model", five_step_path,
+                                "--horizon", "40", "--samples", "-5"])
+        assert code == 2
+        assert doc["error"] == "ConewalkError: --samples must be non-negative, got -5"
+        assert dp_passes == []
 
     @pytest.mark.parametrize("kmax", ["0", "-3"])
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",

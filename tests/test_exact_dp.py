@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -31,6 +32,7 @@ from conewalk.errors import (
     UnsupportedCone,
 )
 from conewalk.laplace import tilt_distribution
+from conewalk.model import _echelon_pivots
 
 
 def walk(weighted_steps, start):
@@ -41,6 +43,36 @@ def walk(weighted_steps, start):
 KREWERAS = walk({(-1, 0): F(1, 3), (0, -1): F(1, 3), (1, 1): F(1, 3)}, (0, 0))
 DIAGONAL = walk({(1, 1): F(1, 8), (-1, 1): F(3, 8), (1, -1): F(1, 8),
                  (-1, -1): F(3, 8)}, (1, 2))
+
+
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix, by Gaussian elimination
+    over the rationals."""
+    a = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def _minors_lattice_index(vectors) -> int:
+    """Index in Z^d of the lattice spanned by the differences v - v0: the gcd
+    of their d x d minors, or 1 when that lattice is not of full rank."""
+    v0, *rest = vectors
+    diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
+    m = 0
+    for rows in itertools.combinations(diffs, len(v0)):
+        m = math.gcd(m, _det(rows))
+    return m or 1
 
 
 def _reference_advance(layer, steps, grow):
@@ -147,6 +179,17 @@ class TestKernel:
     ])
     def test_lattice_index(self, vectors, index):
         assert exact_dp._lattice_index(vectors) == index
+        assert _minors_lattice_index(vectors) == index
+
+    def test_lattice_index_and_rank_match_oracles(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            vectors = [tuple(int(c) for c in rng.integers(-3, 4, size=d))
+                       for _ in range(int(rng.integers(1, 7)))]
+            assert exact_dp._lattice_index(vectors) == _minors_lattice_index(vectors)
+            assert len(_echelon_pivots(vectors, d)) == np.linalg.matrix_rank(
+                np.array(vectors, dtype=float))
 
     def test_dead_residues_hold_zero(self, exterior_2d, octant_3d, simple_walk_2d,
                                      big_step_1d):
@@ -303,16 +346,24 @@ class TestEscapeBounds:
         assert widths[-1] < widths[0]
         assert widths[-1] < 1e-2
 
-    def test_g_sequence_matches_pointwise_sum(self, five_step_model):
-        bounds = escape_probability_bounds(five_step_model, 6)
-        layers = list(survival_layers(five_step_model, 6))
-        for k, g_k in enumerate(bounds.g_sequence.terms):
-            direct = sum(
-                (mass * boundary_exit_g(five_step_model, pos)
-                 for pos, mass in layers[k].masses.items()),
-                F(0),
-            )
-            assert g_k == direct
+    def test_g_sequence_matches_pointwise_sum(self, five_step_model, pos_1d):
+        five_step_off = replace(five_step_model, start=(2, 1))
+        with pytest.warns(UserWarning, match="do not span"):
+            flat_3d = walk({(0, -1, -1): F(1, 4), (1, 1, 1): F(1, 2),
+                            (0, 0, 0): F(1, 4)}, (0, 0, 0))
+        # (-1, -1) exits through two slabs, x < 1 and (x >= 1, y < 1)
+        corner_exit = walk({(-1, -1): F(1, 6), (1, 0): F(1, 3), (0, 1): F(1, 3),
+                            (0, 0): F(1, 6)}, (1, 0))
+        for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit):
+            bounds = escape_probability_bounds(model, 12)
+            layers = list(survival_layers(model, 12))
+            for k, g_k in enumerate(bounds.g_sequence.terms):
+                direct = sum(
+                    (mass * boundary_exit_g(model, pos)
+                     for pos, mass in layers[k].masses.items()),
+                    F(0),
+                )
+                assert g_k == direct
 
     def test_survival_minus_g_is_lower_bound(self, five_step_model):
         bounds = escape_probability_bounds(five_step_model, 25)
