@@ -105,25 +105,29 @@ def run_report(argv) -> tuple[dict, int]:
                 model, _parse_target(args.target) if args.target is not None
                 else model.start)
 
-        # On a bounds model one pass yields survival, a_inf, the bounds block
-        # and the excursion.
+        # One pass yields survival and the excursion; on a bounds model it
+        # also yields a_inf and the bounds block.
         survival = command in ("analyze", "enumerate", "guess")
         if survival:  # the verdict guesses a recurrence of order at least 1
             seqlab.require_terms(horizon + 1, 1)
-        bounds = None
+        bounds = excursion = None
         if bounds_error is None and (survival or command == "bounds"):
             bounds = exact_dp.escape_probability_bounds(model, horizon, target)
             if command in ("analyze", "bounds"):
                 doc["bounds"] = report.bounds_block(bounds)
         if survival:
-            seq = (bounds.survival if bounds is not None
-                   else exact_dp.survival_sequence(model, horizon))
+            if bounds is not None:
+                seq, excursion = bounds.survival, bounds.excursion
+            elif target is not None:
+                seq, excursion = exact_dp.survival_and_excursion(model, target, horizon)
+            else:
+                seq = exact_dp.survival_sequence(model, horizon)
             sequences["survival"] = seq
             verdicts["survival"] = report.verdict_block(
                 _survival_verdict(seq, analysis, bounds, args.kmax))
 
         if target is not None:
-            seq = (bounds.excursion if bounds is not None
+            seq = (excursion if excursion is not None
                    else exact_dp.excursion_sequence(model, target, horizon))
             sequences["excursion"] = seq
             if analysis is not None and analysis.rho_global is not None:

@@ -1,23 +1,24 @@
 """Exact layer-by-layer dynamic programming over confined lattice states.
 
-Layer k is a dense numpy box over ``[0, x + k*grow]`` (x the start, grow the
-largest positive step in each coordinate): entry ``pos`` holds the confined
-mass at ``pos``.  One shift-and-add kernel advances every layer stream.  Exact
-streams use ``object`` dtype with integer numerators over ``D^k`` (D = common
-weight denominator), which keeps the arithmetic exact while avoiding
-per-operation gcd reduction; the tilted functional uses ``float64``.
-
-The kernel skips work that is zero by construction.  At step k the walk lies in
-one coset of the lattice L spanned by the step differences v - v0; with m the
-index of L in Z^d, only the residue classes mod m that the walk can occupy
-(the live residues) are read, as strided views.  Exact streams group their
-steps by weight, so each weight scales the layer once.
+Layer k covers the box ``[0, x + k*grow]`` (x the start, grow the largest
+positive step in each coordinate).  The walk at step k lies in one coset of
+the lattice L spanned by the step differences v - v0; with m the index of L
+in Z^d, it occupies at most m^(d-1) residue classes mod m.  A layer stores
+only those: it maps each live class r to a dense array whose entry j holds
+the confined mass at r + m*j, so it holds about volume/m entries.  A step v
+moves class r to class r' = (r + v) mod m, shifted by (r + v - r') // m,
+which makes every read and write of the one shift-and-add kernel a
+contiguous slice; m = 1 is the same code with a single class.  Exact streams
+use ``object`` dtype with integer numerators over ``D^k`` (D = common weight
+denominator), which keeps the arithmetic exact while avoiding per-operation
+gcd reduction, and group their steps by weight so each weight scales the
+stored classes once; the tilted functional uses ``float64``.
 
 ``_read`` feeds any set of readouts from one unpruned pass.  It carries the
 survival total and the g-functional of the escape bounds from layer to layer by
-subtracting what exits through the boundary slabs: both f = 1 and g are
-harmonic for the free walk, so neither sums the box.  The excursion and state
-readouts are slices of the box.
+subtracting what exits through the boundary slabs of each class: both f = 1
+and g are harmonic for the free walk, so neither sums the layer.  The
+excursion readout is one entry of one class.
 """
 
 from __future__ import annotations
@@ -106,16 +107,20 @@ def _step_bound(model: WalkModel) -> int:
 def _dp_bytes(model: WalkModel, n: int) -> float:
     """Predicted peak DP memory at horizon n, in bytes.
 
-    The last step holds three boxes of Python ints: its input, its output and
-    the product ``c * layer`` of one weight; ``+=`` on a strided object view
-    also buffers up to ``np.getbufsize()`` sums before writing them back.  The
-    escape bounds keep four Fractions (eight ints) per horizon: a_k, g_k and
-    the two interval ends.  An int costs an 8-byte slot, a header with
-    allocator rounding (about 40 bytes) and 4 bytes per 30 bits of a
+    A layer stores at most m^(d-1) residue classes (the cosets of m Z^d in
+    the step-difference lattice), each about 1/m^d of the box: about volume/m
+    entries.  The last step holds three layers of Python ints: its input, its
+    output and the product ``c * layer`` of one weight; ``+=`` on an object
+    slice also buffers up to ``np.getbufsize()`` sums before writing them
+    back.  The escape bounds keep four Fractions (eight ints) per horizon:
+    a_k, g_k and the two interval ends.  An int costs an 8-byte slot, a header
+    with allocator rounding (about 40 bytes) and 4 bytes per 30 bits of a
     numerator below D^n.
     """
-    volume = math.prod(x + n * _step_bound(model) + 1 for x in model.start)
-    entries = 3 * volume + min(volume, np.getbufsize()) + 8 * (n + 1)
+    m = _modulus(model)
+    box = [x + n * _step_bound(model) + 1 for x in model.start]
+    stored = m ** (model.dimension - 1) * math.prod(-(-s // m) for s in box)
+    entries = 3 * stored + min(stored, np.getbufsize()) + 8 * (n + 1)
     bits = n * max(math.log2(model.dist.common_denominator), 1.0)
     return entries * (48 + bits / 7.5)
 
@@ -145,56 +150,90 @@ def _lattice_index(vectors) -> int:
     return abs(math.prod(pivots)) if len(pivots) == len(v0) else 1
 
 
-def _advance(layer: np.ndarray, steps, grow, m: int, live) -> np.ndarray:
-    """One DP transition: the box grows by ``grow`` and each step v adds
-    c_v * layer[x] at x + v, for every x with x + v in the orthant.
+def _modulus(model: WalkModel) -> int:
+    """The modulus m of the residue classes a layer stores: the index of the
+    step-difference lattice."""
+    return _lattice_index([v for v, _ in model.dist.steps])
 
-    Only entries whose coordinates mod m form a residue in ``live`` may be
-    nonzero, so each step reads one strided view per live residue.  Each run
-    of adjacent steps with equal weight scales the layer once.
+
+def _grow(steps, dimension: int) -> list[int]:
+    """How far the box grows per step: the largest positive step coordinate."""
+    return [max(0, *(v[i] for v, _ in steps)) for i in range(dimension)]
+
+
+def _class_shape(shape, r, m: int) -> list[int]:
+    """Shape of class r of a box: the entries r + m*j inside it."""
+    return [(s - c + m - 1) // m for s, c in zip(shape, r)]
+
+
+def _moves(r, v, m: int):
+    """The class r' = (r + v) mod m that step v moves class r to, and the
+    shift s = (r + v - r') // m: entry j of class r lands at entry j + s."""
+    to = tuple((c + a) % m for c, a in zip(r, v))
+    return to, [(c + a - t) // m for c, a, t in zip(r, v, to)]
+
+
+def _advance(classes: dict, steps, shape, m: int) -> dict:
+    """One DP transition into a box of the given shape: each step v adds
+    c_v * layer[x] at x + v, for every x with x + v in the orthant and the box.
+
+    A class is stored once a step writes to it: the first such step assigns
+    its slice into zeros, and later steps add into it.  Each run of adjacent
+    steps with equal weight scales the stored classes once.
     """
-    new = np.zeros([s + g for s, g in zip(layer.shape, grow)], dtype=layer.dtype)
+    new = {}
     for c, group in itertools.groupby(steps, key=itemgetter(1)):
-        scaled = layer if c == 1 else c * layer
+        scaled = classes if c == 1 else {r: c * a for r, a in classes.items()}
         for v, _ in group:
-            for r in live:
+            for r, a in scaled.items():
+                to, shift = _moves(r, v, m)
+                out = new.get(to)
+                bounds = _class_shape(shape, to, m) if out is None else out.shape
                 src, dst = [], []
-                for a, s, res in zip(v, layer.shape, r):
-                    lo = max(-a, 0)
-                    lo += (res - lo) % m  # first index >= max(-a, 0) in residue res
-                    src.append(slice(lo, s, m))
-                    dst.append(slice(lo + a, max(s + a, 0), m))
-                new[tuple(dst)] += scaled[tuple(src)]
+                for s, size, bound in zip(shift, a.shape, bounds):
+                    lo, hi = max(-s, 0), min(size, bound - s)
+                    src.append(slice(lo, hi))
+                    dst.append(slice(lo + s, hi + s))
+                if any(x.start >= x.stop for x in src):
+                    continue  # every entry leaves the orthant or the box
+                if out is None:
+                    out = new[to] = np.zeros(bounds, dtype=a.dtype)
+                    out[tuple(dst)] = a[tuple(src)]
+                else:
+                    out[tuple(dst)] += a[tuple(src)]
         del scaled  # free this product before the next weight forms its own
     return new
 
 
-def _layers(model: WalkModel, n: int, steps, dtype, target=None) -> Iterator[np.ndarray]:
-    """Yield layers 0..n as boxes over [0, x + k*grow]: entry pos is the
-    confined mass at pos, under the given step weights.
+def _layers(model: WalkModel, n: int, steps, dtype, target=None) -> Iterator[dict]:
+    """Yield layers 0..n, each a dict from live residue class r to the
+    confined masses at r + m*j under the given step weights.
 
     With a target point given, states that cannot reach the target within the
-    remaining time are sliced off; this leaves every ``layer_k[target]`` intact.
+    remaining time are cut off each class; this leaves every entry at the
+    target intact.
     """
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
     _budget_states(model, n)
-    grow = [max(0, *(v[i] for v, _ in steps)) for i in range(model.dimension)]
+    grow = _grow(steps, model.dimension)
     step_bound = _step_bound(model)
-    m = _lattice_index([v for v, _ in steps])
-    live = {tuple(x % m for x in model.start)}
-    layer = np.zeros([x + 1 for x in model.start], dtype=dtype)
-    layer[tuple(model.start)] = 1
+    m = _modulus(model)
+    shape = [x + 1 for x in model.start]
+    r = tuple(x % m for x in model.start)
+    first = np.zeros(_class_shape(shape, r, m), dtype=dtype)
+    first[tuple(x // m for x in model.start)] = 1
+    layer = {r: first}
     yield layer
     for k in range(1, n + 1):
-        layer = _advance(layer, steps, grow, m, live)
-        live = {tuple((x + a) % m for x, a in zip(r, v)) for r in live for v, _ in steps}
+        shape = [s + g for s, g in zip(shape, grow)]
         if target is not None:
-            layer = layer[tuple(slice(y + (n - k) * step_bound + 1) for y in target)]
+            shape = [min(s, y + (n - k) * step_bound + 1) for s, y in zip(shape, target)]
+        layer = _advance(layer, steps, shape, m)
         yield layer
 
 
-def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[np.ndarray]:
+def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[dict]:
     """Yield layers 0..n of integer numerators over D^k.
 
     Integer sums do not depend on the order of the steps, so equal weights
@@ -212,23 +251,28 @@ def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[np.ndarra
 def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
     """Exact state distributions P^x(tau>k, S_k = .) for k = 0..n."""
     den = model.dist.common_denominator
+    m = _modulus(model)
     for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
-        yield StateLayer(index=k, masses={
-            pos: Fraction(layer[pos], scale)
-            for pos in map(tuple, np.argwhere(layer).tolist())
-        })
+        masses = {}
+        for r, a in layer.items():
+            for j in map(tuple, np.argwhere(a).tolist()):
+                masses[tuple(c + m * i for c, i in zip(r, j))] = Fraction(a[j], scale)
+        yield StateLayer(index=k, masses=dict(sorted(masses.items())))
 
 
-def _exit_slabs(layer: np.ndarray, v):
-    """Yield the disjoint slabs x_i < -v_i with x_j >= -v_j on the earlier
-    axes j, which together hold the x in the layer with x + v outside the
-    orthant; each with ``corner``, the point x + v at its first entry."""
-    for i, a in enumerate(v):
-        if a < 0:
-            lo = [max(-b, 0) for b in v[:i]] + [0] * (len(v) - i)
-            slab = tuple(slice(c, None) for c in lo[:i]) + (slice(-a),)
-            yield layer[slab], [c + b for c, b in zip(lo, v)]
+def _exit_slabs(layer: dict, v, m: int):
+    """Yield, per stored class, the disjoint slabs j_i < -s_i with j_l >= -s_l
+    on the earlier axes l (s the class's shift under v), which together hold
+    the entries x with x + v outside the orthant; each with ``corner``, the
+    point x + v at its first entry.  Entries of a slab lie m apart."""
+    for r, a in layer.items():
+        to, shift = _moves(r, v, m)
+        for i, s in enumerate(shift):
+            if s < 0:
+                lo = [max(-b, 0) for b in shift[:i]] + [0] * (len(shift) - i)
+                slab = tuple(slice(c, None) for c in lo[:i]) + (slice(-s),)
+                yield a[slab], [t + m * (c + b) for t, c, b in zip(to, lo, shift)]
 
 
 def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]]:
@@ -240,13 +284,14 @@ def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]
     free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
     to sum_v c_v (F_k - sum of layer_k[x] f(x + v) over the x with x + v
     outside the orthant).  It is given as the pair (f(start), exit_sum), where
-    ``exit_sum(slab, corner)`` sums slab[c] f(corner + c) over one slab of
-    ``_exit_slabs``.  Survival is the functional f = 1.  The step holds only
+    ``exit_sum(slab, corner, m)`` sums slab[c] f(corner + m*c) over one slab
+    of ``_exit_slabs``.  Survival is the functional f = 1.  The step holds only
     when every layer is the whole confined mass; so this pass takes no target.
     """
     den = model.dist.common_denominator
     steps, _den = model.dist.integer_weights()
-    carried = [(1, lambda slab, corner: slab.sum()), *carried]
+    m = _modulus(model)
+    carried = [(1, lambda slab, _corner, _m: slab.sum()), *carried]
     values = [start for start, _ in carried]
     sequences = [[] for _ in range(len(carried) + len(readouts))]
     for k, layer in enumerate(_integer_layers(model, n)):
@@ -254,19 +299,24 @@ def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]
         terms = values + [readout(layer) for readout in readouts]
         for sequence, term in zip(sequences, terms):
             sequence.append(Fraction(term, scale))
-        values = [sum(c * (value - sum(exit_sum(*s) for s in _exit_slabs(layer, v)))
+        values = [sum(c * (value - sum(exit_sum(slab, corner, m)
+                                       for slab, corner in _exit_slabs(layer, v, m)))
                       for v, c in steps)
                   for value, (_, exit_sum) in zip(values, carried)]
     return sequences
 
 
 def _excursion_readout(model: WalkModel, y):
-    """Check an excursion target y; return it as a tuple with the readout
-    ``layer[y]``, which is 0 where y lies outside the box."""
+    """Check an excursion target y; return it as a tuple with the readout of
+    entry y // m of class y mod m, which is 0 where that class is not stored
+    or y lies outside the box."""
     y = excursion_target(model, y)
+    m = _modulus(model)
+    r, j = tuple(c % m for c in y), tuple(c // m for c in y)
 
-    def readout(layer: np.ndarray):
-        return layer[y] if all(c < s for c, s in zip(y, layer.shape)) else 0
+    def readout(layer: dict):
+        a = layer.get(r)
+        return a[j] if a is not None and all(c < s for c, s in zip(j, a.shape)) else 0
 
     return y, readout
 
@@ -286,6 +336,16 @@ def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
 
 
+def survival_and_excursion(model: WalkModel, y,
+                           n: int) -> tuple[ExactSequence, ExactSequence]:
+    """Exact survival and excursion sequences at y, read off one pass."""
+    y, readout = _excursion_readout(model, y)
+    survival, excursion = _read(model, n, [readout])
+    h = model.model_hash()
+    return (ExactSequence(tuple(survival), "survival", h, n),
+            ExactSequence(tuple(excursion), "excursion", h, n, target=y))
+
+
 def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     """Expectation of e^{-<t0,S_k>} over confined paths under the tilted law.
 
@@ -294,11 +354,18 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     """
     tilted, _drift = tilt_distribution(model.dist, t0)
     t0 = [float(c) for c in t0]
+    m = _modulus(model)
+    grow = _grow(tilted, model.dimension)
+    axes = np.ogrid[tuple(slice(x + n * g + 1) for x, g in zip(model.start, grow))]
+    weight = np.exp(-sum(t * a for t, a in zip(t0, axes)))
 
-    def readout(layer: np.ndarray) -> float:
-        axes = np.ogrid[tuple(slice(s) for s in layer.shape)]
-        weight = np.exp(-sum(t * a for t, a in zip(t0, axes)))
-        return math.fsum((layer * weight).ravel().tolist())
+    def readout(layer: dict) -> float:
+        # fsum is exactly rounded, so leaving out the zero products changes
+        # no bit of the sum
+        products = (a * weight[tuple(slice(c, c + m * s, m) for c, s in zip(r, a.shape))]
+                    for r, a in layer.items())
+        return math.fsum(itertools.chain.from_iterable(
+            p[p != 0].tolist() for p in products))
 
     return [readout(layer) for layer in _layers(model, n, tilted, float)]
 
@@ -329,15 +396,17 @@ def _gammas(model: WalkModel) -> dict[int, Fraction]:
     return {i: q / p for i, (p, _r, q) in enumerate(marginals) if q > 0}
 
 
-def _power_sum(m, g: Fraction, e: int) -> Fraction:
-    """sum_c m[c] g^(c+e) over a 1D integer array m.  With g = q/p this is
-    q^e h / p^(K-1+e), where h = sum_c m[c] q^c p^(K-1-c) by Horner on ints."""
+def _power_sum(marginal, g: Fraction, e: int, m: int) -> Fraction:
+    """sum_c marginal[c] g^(e + m*c) over a 1D integer array of length K.
+    With g = q/p and G = g^m = Q/P this is q^e h / (P^(K-1) p^e), where
+    h = sum_c marginal[c] Q^c P^(K-1-c) by Horner on ints."""
     q, p = g.numerator, g.denominator
+    big_q, big_p = q ** m, p ** m
     h, p_pow = 0, 1
-    for x in m[::-1]:
-        h = h * q + x * p_pow
-        p_pow *= p
-    return Fraction(h * p * q ** e, p_pow * p ** e)
+    for x in marginal[::-1]:
+        h = h * big_q + x * p_pow
+        p_pow *= big_p
+    return Fraction(h * big_p * q ** e, p_pow * p ** e)
 
 
 def boundary_exit_g(model: WalkModel, y) -> Fraction:
@@ -355,11 +424,11 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
     gammas = _gammas(model)
     d = model.dimension
 
-    def exit_g(slab: np.ndarray, corner) -> Fraction:
-        # g(x) = sum_i g_i^(x_i + 1), so each term is a power sum over the
-        # slab's coordinate-i marginal
+    def exit_g(slab: np.ndarray, corner, m: int) -> Fraction:
+        # g(x) = sum_i g_i^(x_i + 1), so each term is a power sum in g_i^m
+        # over the slab's coordinate-i marginal
         return sum((_power_sum(slab.sum(axis=tuple(j for j in range(d) if j != i)),
-                               g, corner[i] + 1) for i, g in gammas.items()),
+                               g, corner[i] + 1, m) for i, g in gammas.items()),
                    Fraction(0))
 
     readouts = []

@@ -2,9 +2,10 @@
 
 A sequence has a rational generating function iff it eventually satisfies a
 fixed linear recurrence, in which case its terms are exponential-polynomials
-in n. We synthesize the minimal recurrence over exact rationals on a fitting
-window and verify it exactly on held-out terms; diagnostics (decay rate and
-subexponential factor) are floating point.
+in n. We synthesize the minimal recurrence on a fitting window and verify it
+on held-out terms, both exactly in integer arithmetic on the terms scaled by
+the lcm of their denominators; diagnostics (decay rate and subexponential
+factor) are floating point.
 """
 
 from __future__ import annotations
@@ -28,30 +29,41 @@ MIN_RATE_TERMS = 32  # fewest terms estimate_rho fits a decay rate on
 ROOT_CLUSTER_TOL = 1e-7
 
 
-def berlekamp_massey(seq: Sequence[Fraction]) -> list[Fraction]:
-    """Minimal connection coefficients c with a_n = sum_j c_j a_{n-j}.
-
-    Runs over the rationals; the minimal annihilator of a fixed window is
-    unique, which makes the result deterministic.
-    """
+def _integer_terms(seq: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The terms scaled by M, the lcm of their denominators, and M."""
     seq = [Fraction(s) for s in seq]
-    cur = [Fraction(1)]          # C(x), current connection polynomial
-    prev = [Fraction(1)]         # B(x), copy before the last length change
+    scale = math.lcm(*(s.denominator for s in seq))
+    return [s.numerator * (scale // s.denominator) for s in seq], scale
+
+
+def _connection_polynomial(seq: Sequence[int], scale: int) -> tuple[list[int], int]:
+    """Fraction-free Berlekamp-Massey on the integer terms of a sequence
+    scaled by ``scale``: the minimal length L and an integer multiple of the
+    connection polynomial C(x) = 1 - c_1 x - ... - c_L x^L, padded to L + 1
+    coefficients.
+
+    It keeps C and B, the copy before the last length change, up to integer
+    factors.  With d the discrepancy of C and d_B that of B, the rational
+    update C -= (d / d_B) x^s B becomes C <- d_B C - d x^s B, and dividing
+    out the content keeps the coefficients small.  The initial d_B is the
+    scale: the rational algorithm on the unscaled terms starts from 1.
+    """
+    cur, prev = [1], [1]
     length = 0
-    last_discrepancy = Fraction(1)
+    last_discrepancy = scale
     shift = 1
-    for n, s in enumerate(seq):
-        d = s
-        for i in range(1, length + 1):
-            d += cur[i] * seq[n - i]
+    for n in range(len(seq)):
+        d = sum(cur[i] * seq[n - i] for i in range(length + 1))
         if d == 0:
             shift += 1
             continue
-        coeff = d / last_discrepancy
-        # C(x) -= coeff x^shift B(x), on a padded copy so old keeps C(x)
-        old, cur = cur, cur + [Fraction(0)] * (len(prev) + shift - len(cur))
+        old = cur
+        cur = [last_discrepancy * c for c in cur]
+        cur += [0] * (len(prev) + shift - len(cur))
         for i, b in enumerate(prev):
-            cur[i + shift] -= coeff * b
+            cur[i + shift] -= d * b
+        content = math.gcd(*cur)
+        cur = [c // content for c in cur]
         if 2 * length <= n:
             length = n + 1 - length
             prev = old
@@ -59,22 +71,36 @@ def berlekamp_massey(seq: Sequence[Fraction]) -> list[Fraction]:
             shift = 1
         else:
             shift += 1
-    # C(x) = 1 + c'_1 x + ... ; recurrence coefficients are -c'_j
-    coeffs = [-c for c in cur[1:length + 1]]
-    coeffs += [Fraction(0)] * (length - len(coeffs))
-    return coeffs
+    cur += [0] * (length + 1 - len(cur))
+    return cur[:length + 1], length
+
+
+def berlekamp_massey(seq: Sequence[Fraction]) -> list[Fraction]:
+    """Minimal connection coefficients c with a_n = sum_j c_j a_{n-j}.
+
+    Runs on the terms scaled to integers and returns exactly what the
+    algorithm over the rationals returns, also on a window whose minimal
+    annihilator is not unique.
+    """
+    poly, _length = _connection_polynomial(*_integer_terms(seq))
+    return [Fraction(-c, poly[0]) for c in poly[1:]]
+
+
+def _annihilates(poly: Sequence[int], seq: Sequence[int], start: int) -> bool:
+    """Whether sum_j poly[j] a_{n-j} = 0 for every n >= start."""
+    k = len(poly) - 1
+    return all(sum(c * seq[n - j] for j, c in enumerate(poly)) == 0
+               for n in range(max(start, k), len(seq)))
 
 
 def recurrence_holds(terms: Sequence[Fraction], coeffs: Sequence[Fraction],
                      start: int = None) -> bool:
     """Exact check of a_n = sum_j c_j a_{n-j} for n >= start."""
-    k = len(coeffs)
-    if start is None:
-        start = k
-    for n in range(max(start, k), len(terms)):
-        if terms[n] != sum(c * terms[n - j - 1] for j, c in enumerate(coeffs)):
-            return False
-    return True
+    coeffs = [Fraction(c) for c in coeffs]
+    lead = math.lcm(*(c.denominator for c in coeffs))
+    poly = [lead] + [-c.numerator * (lead // c.denominator) for c in coeffs]
+    seq, _scale = _integer_terms(terms)
+    return _annihilates(poly, seq, len(coeffs) if start is None else start)
 
 
 @dataclass(frozen=True)
@@ -166,11 +192,11 @@ def guess_recurrence(terms: Sequence[Fraction], k_max: int):
     """
     terms = [Fraction(t) for t in terms]
     require_terms(len(terms), k_max)
-    window = terms[: 2 * k_max]
-    coeffs = berlekamp_massey(window)
-    order = len(coeffs)
-    if order > k_max or not recurrence_holds(terms, coeffs):
+    seq, scale = _integer_terms(terms)
+    poly, order = _connection_polynomial(seq[: 2 * k_max], scale)
+    if order > k_max or not _annihilates(poly, seq, order):
         return NoRecurrenceUpTo(order_cap=k_max, terms_used=len(terms))
+    coeffs = [Fraction(-c, poly[0]) for c in poly[1:]]
     decomposition = exponential_polynomial(coeffs, terms) if order else None
     return RecurrenceModel(order=order, coefficients=tuple(coeffs),
                            decomposition=decomposition)

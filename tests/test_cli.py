@@ -35,6 +35,14 @@ NEG_1D = {
     "start": [0],
 }
 
+# exterior drift (-1/6, -1/6): no escape bounds, lattice index 2
+EXTERIOR = {
+    "dimension": 2,
+    "steps": [{"v": [1, 0], "w": "1/6"}, {"v": [0, 1], "w": "1/6"},
+              {"v": [-1, 0], "w": "1/3"}, {"v": [0, -1], "w": "1/3"}],
+    "cone": {"type": "orthant"},
+    "start": [0, 0],
+}
 
 POS_1D = {
     "dimension": 1,
@@ -55,6 +63,13 @@ def five_step_path(tmp_path_factory):
 def neg_1d_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "neg1d.json"
     path.write_text(json.dumps(NEG_1D))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def exterior_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "exterior.json"
+    path.write_text(json.dumps(EXTERIOR))
     return str(path)
 
 
@@ -200,6 +215,20 @@ class TestDpPasses:
                               "--horizon", "30", "--kmax", "5", "--target", "0,0"])
         assert code == 0
         assert dp_passes == [30]  # the excursion is read off the bounds pass
+
+    def test_analyze_target_without_bounds_is_one_pass(self, exterior_path,
+                                                       dp_passes):
+        # survival and the excursion come off one unpruned pass
+        doc, code = run_report(["analyze", "--model", exterior_path,
+                                "--horizon", "60", "--kmax", "10", "--target", "0,0"])
+        assert code == 0
+        assert "bounds" not in doc
+        assert dp_passes == [60]
+        model = load_model(exterior_path)
+        assert doc["sequences"] == {
+            "survival": report.sequence_block(survival_sequence(model, 60)),
+            "excursion": report.sequence_block(excursion_sequence(model, (0, 0), 60)),
+        }
 
     def test_enumerate_within_a_inf_horizon_is_one_pass(self, five_step_path,
                                                         dp_passes):

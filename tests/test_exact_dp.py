@@ -86,6 +86,17 @@ def _reference_advance(layer, steps, grow):
     return new
 
 
+def _scatter(layer, shape, m, dtype):
+    """The box of the given shape that holds each class r of a layer at the
+    positions r + m*j."""
+    box = np.zeros(shape, dtype=dtype)
+    for r, a in layer.items():
+        view = box[tuple(slice(c, None, m) for c in r)]
+        assert view.shape == a.shape
+        view[...] = a
+    return box
+
+
 def _reference_layers(model, n, steps, dtype):
     grow = [max(0, *(v[i] for v, _ in steps)) for i in range(model.dimension)]
     layer = np.zeros([x + 1 for x in model.start], dtype=dtype)
@@ -193,21 +204,24 @@ class TestKernel:
 
     def test_dead_residues_hold_zero(self, exterior_2d, octant_3d, simple_walk_2d,
                                      big_step_1d):
+        # a layer stores exactly the residue classes of its confined states,
+        # each with mass, and these lie in the residues of start + (k steps)
         for model in (exterior_2d, octant_3d, simple_walk_2d, big_step_1d,
                       KREWERAS, DIAGONAL):
             vectors = [v for v, _ in model.dist.steps]
             m = exact_dp._lattice_index(vectors)
             assert m > 1
-            # residues mod m of start + (any k steps)
+            steps, _den = model.dist.integer_weights()
+            reference = _reference_layers(model, 12, steps, object)
             reach = {tuple(x % m for x in model.start)}
-            for layer in exact_dp._integer_layers(model, 12):
-                dead = np.ones(layer.shape, dtype=bool)
-                for r in reach:
-                    dead[tuple(slice(c, None, m) for c in r)] = False
-                assert not layer[dead].any() and layer[~dead].any()
+            for layer, ref in zip(exact_dp._integer_layers(model, 12), reference,
+                                  strict=True):
+                confined = {tuple(x % m for x in pos) for pos in np.argwhere(ref).tolist()}
+                assert set(layer) == confined <= reach
+                assert all(a.any() for a in layer.values())
                 reach = {tuple((x + a) % m for x, a in zip(r, v))
                          for r in reach for v in vectors}
-            assert dead.any()
+            assert len(reach) < m ** model.dimension  # some residues are dead
 
     def test_exit_mass_total_is_layer_sum(self, pos_1d, big_step_1d, octant_3d,
                                           big_step_2d, exterior_2d):
@@ -216,21 +230,26 @@ class TestKernel:
             dying = walk({(-1, 0): F(1, 2), (0, -1): F(1, 2)}, (1, 1))
         for model in (pos_1d, big_step_1d, octant_3d, big_step_2d, exterior_2d,
                       offset, KREWERAS, DIAGONAL, dying):
-            survival, layer_sums = exact_dp._read(model, 10, [np.sum])
+            survival, layer_sums = exact_dp._read(
+                model, 10, [lambda layer: sum(a.sum() for a in layer.values())])
             assert survival == layer_sums
         assert survival[2] > 0 and survival[3:] == [0] * 8
 
     def test_layers_match_reference_kernel(self, exterior_2d, octant_3d):
-        for model, n in ((exterior_2d, 40), (octant_3d, 15)):
+        # exterior from (1, 2) starts in residue (1, 0) mod 2; Kreweras has m = 3
+        for model, n in ((exterior_2d, 40), (octant_3d, 15),
+                         (replace(exterior_2d, start=(1, 2)), 30),
+                         (KREWERAS, 30), (replace(KREWERAS, start=(2, 1)), 30)):
             t0 = analyze(model.dist, model.cone).t0
             tilted, _drift = tilt_distribution(model.dist, t0)
             steps, _den = model.dist.integer_weights()
+            m = exact_dp._modulus(model)
             for weights, dtype, layers in (
                     (tilted, float, exact_dp._layers(model, n, tilted, float)),
                     (steps, object, exact_dp._integer_layers(model, n))):
                 reference = _reference_layers(model, n, weights, dtype)
-                for layer, ref in zip(layers, reference, strict=True):
-                    assert layer.shape == ref.shape
+                for classes, ref in zip(layers, reference, strict=True):
+                    layer = _scatter(classes, ref.shape, m, dtype)
                     if dtype is float:
                         assert [x.hex() for x in layer.ravel().tolist()] == \
                             [x.hex() for x in ref.ravel().tolist()]
@@ -264,6 +283,19 @@ class TestExcursion:
         for k, layer in enumerate(layers):
             assert seq.terms[k] == layer.masses.get((0, 0), F(0))
 
+    def test_one_pass_reads_the_excursion(self, exterior_2d, simple_walk_2d,
+                                          big_step_2d, octant_3d):
+        # the unpruned pass reads y off class y mod m, and reads 0 while that
+        # class is not stored
+        cases = [(model, y) for model in (exterior_2d, simple_walk_2d)
+                 for y in ((0, 0), (1, 0), (3, 2))]
+        cases += [(KREWERAS, (0, 0)), (KREWERAS, (2, 0)), (big_step_2d, (2, 1)),
+                  (octant_3d, (1, 0, 1)), (DIAGONAL, (1, 2)), (DIAGONAL, (0, 3))]
+        for model, y in cases:
+            survival, excursion = exact_dp.survival_and_excursion(model, y, 15)
+            assert survival == survival_sequence(model, 15)
+            assert excursion == excursion_sequence(model, y, 15)
+
     def test_periodicity_of_simple_walk(self, simple_walk_2d):
         terms = excursion_sequence(simple_walk_2d, (0, 0), 10).terms
         assert all(terms[k] == 0 for k in range(1, 11, 2))
@@ -291,6 +323,20 @@ class TestTiltedFunctional:
             for k in range(n + 1):
                 recon = an.rho ** k * pref * func[k]
                 assert recon == pytest.approx(exact[k], rel=1e-11)
+
+    def test_matches_the_box_readout(self, exterior_2d, octant_3d):
+        # fsum of the whole reference box times a fresh weight box, bit for bit
+        for model, n in ((exterior_2d, 60), (octant_3d, 12),
+                         (replace(KREWERAS, start=(2, 1)), 30)):
+            t0 = analyze(model.dist, model.cone).t0
+            tilted, _drift = tilt_distribution(model.dist, t0)
+            expected = []
+            for box in _reference_layers(model, n, tilted, float):
+                axes = np.ogrid[tuple(slice(s) for s in box.shape)]
+                weight = np.exp(-sum(float(t) * a for t, a in zip(t0, axes)))
+                expected.append(math.fsum((box * weight).ravel().tolist()))
+            assert [x.hex() for x in tilted_survival_functional(model, t0, n)] == \
+                [x.hex() for x in expected]
 
     def test_starts_at_one_from_origin(self, exterior_2d):
         an = analyze(exterior_2d.dist, exterior_2d.cone)
@@ -354,7 +400,12 @@ class TestEscapeBounds:
         # (-1, -1) exits through two slabs, x < 1 and (x >= 1, y < 1)
         corner_exit = walk({(-1, -1): F(1, 6), (1, 0): F(1, 3), (0, 1): F(1, 3),
                             (0, 0): F(1, 6)}, (1, 0))
-        for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit):
+        # classes mod 2 and mod 3: g is a power sum in g_i^m over each class
+        mod_2 = walk({(1, 0): F(1, 3), (0, 1): F(1, 3), (-1, 0): F(1, 6),
+                      (0, -1): F(1, 6)}, (1, 0))
+        mod_3 = walk({(1, 0): F(2, 5), (0, 1): F(2, 5), (-1, -1): F(1, 5)}, (2, 0))
+        for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit,
+                      mod_2, mod_3):
             bounds = escape_probability_bounds(model, 12)
             layers = list(survival_layers(model, 12))
             for k, g_k in enumerate(bounds.g_sequence.terms):
@@ -408,14 +459,16 @@ class TestMemoryBudget:
         seq = survival_sequence(five_step_model, 5)
         assert len(seq.terms) == 6
 
-    def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d):
-        # the exterior's integer weights 1, 1, 2, 2 keep a scaled box alive
-        # through a step
-        n = 60
+    def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d,
+                                           octant_3d):
+        # the exterior's integer weights 1, 1, 2, 2 keep a scaled layer alive
+        # through a step; the exterior and the octant store half the box
         survival_sequence(five_step_model, 2)
-        for model, passes in (
-                (five_step_model, (survival_sequence, escape_probability_bounds)),
-                (exterior_2d, (survival_sequence,))):
+        for model, n, passes in (
+                (five_step_model, 60, (survival_sequence, escape_probability_bounds)),
+                (exterior_2d, 60, (survival_sequence,)),
+                (exterior_2d, 250, (survival_sequence,)),
+                (octant_3d, 40, (survival_sequence,))):
             tracemalloc.start()
             try:
                 for run in passes:

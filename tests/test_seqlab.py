@@ -25,6 +25,8 @@ from conewalk.errors import (
     RateOutOfRange,
 )
 from conewalk.seqlab import (
+    _connection_polynomial,
+    _integer_terms,
     berlekamp_massey,
     detect_period,
     exponential_polynomial,
@@ -45,6 +47,92 @@ def from_recurrence(initial, coeffs, n):
     while len(out) < n:
         out.append(sum(c * out[-j - 1] for j, c in enumerate(coeffs)))
     return out
+
+
+def fraction_berlekamp_massey(seq):
+    """Berlekamp-Massey over the rationals, the oracle of the integer one:
+    C(x) -= (d / d_B) x^s B(x), starting from discrepancy 1."""
+    seq = [F(s) for s in seq]
+    cur, prev = [F(1)], [F(1)]
+    length, last_discrepancy, shift = 0, F(1), 1
+    for n, s in enumerate(seq):
+        d = s + sum(cur[i] * seq[n - i] for i in range(1, length + 1))
+        if d == 0:
+            shift += 1
+            continue
+        coeff = d / last_discrepancy
+        old, cur = cur, cur + [F(0)] * (len(prev) + shift - len(cur))
+        for i, b in enumerate(prev):
+            cur[i + shift] -= coeff * b
+        if 2 * length <= n:
+            length, prev, last_discrepancy, shift = n + 1 - length, old, d, 1
+        else:
+            shift += 1
+    coeffs = [-c for c in cur[1:length + 1]]
+    return coeffs + [F(0)] * (length - len(coeffs))
+
+
+def fraction_recurrence_holds(terms, coeffs):
+    k = len(coeffs)
+    return all(terms[n] == sum(c * terms[n - j - 1] for j, c in enumerate(coeffs))
+               for n in range(k, len(terms)))
+
+
+# windows whose minimal annihilator is not unique: the rational algorithm's
+# choice depends on its initial discrepancy
+NON_UNIQUE_WINDOWS = [
+    ([F(0), F(1, 2)], [F(0), F(1, 2)]),
+    ([F(0), F(0), F(3, 4)], [F(0), F(0), F(3, 4)]),
+    ([F(2, 3), F(0), F(5)], [F(0), F(15, 2)]),
+]
+
+terms_strategy = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                          max_size=14)
+
+
+class TestIntegerBerlekampMassey:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), terms_strategy)
+    def test_matches_fraction_oracle(self, zeros, terms):
+        seq = [F(0)] * zeros + terms
+        assert berlekamp_massey(seq) == fraction_berlekamp_massey(seq)
+        # the content is divided out at every update, so the polynomial
+        # stays primitive and its coefficients small
+        poly, _length = _connection_polynomial(*_integer_terms(seq))
+        assert math.gcd(*poly) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                    min_size=1, max_size=3),
+           st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                    min_size=3, max_size=3),
+           st.integers(0, 2), terms_strategy)
+    def test_guess_matches_fraction_oracle(self, coeffs, initial, zeros, noise):
+        k_max = 4
+        for seq in ([F(0)] * zeros + from_recurrence(initial[:len(coeffs)], coeffs, 18),
+                    [F(0)] * zeros + noise + [F(1)] * (2 * k_max + 8)):
+            window = fraction_berlekamp_massey(seq[:2 * k_max])
+            rational = len(window) <= k_max and fraction_recurrence_holds(seq, window)
+            outcome = guess_recurrence(seq, k_max)
+            if rational:
+                assert outcome.coefficients == tuple(window)
+            else:
+                assert isinstance(outcome, NoRecurrenceUpTo)
+
+    @pytest.mark.parametrize("seq, coeffs", NON_UNIQUE_WINDOWS)
+    def test_non_unique_windows(self, seq, coeffs):
+        assert berlekamp_massey(seq) == coeffs == fraction_berlekamp_massey(seq)
+
+    def test_initial_discrepancy_one_is_caught(self):
+        # starting the scaled terms from discrepancy 1 instead of the scale
+        # changes the answer on a non-unique window; the checks above catch it
+        for seq, coeffs in NON_UNIQUE_WINDOWS:
+            ints, scale = _integer_terms(seq)
+            poly, _ = _connection_polynomial(ints, scale)
+            assert [F(-c, poly[0]) for c in poly[1:]] == coeffs
+        ints, scale = _integer_terms([F(0), F(1, 2)])
+        poly, _ = _connection_polynomial(ints, 1)
+        assert [F(-c, poly[0]) for c in poly[1:]] == [F(0), F(1)]
 
 
 class TestBerlekampMassey:
