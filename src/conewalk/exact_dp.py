@@ -104,6 +104,15 @@ def _step_bound(model: WalkModel) -> int:
     return max(abs(c) for v, _ in model.dist.steps for c in v)
 
 
+def _below_hyperplane(box, start, reach: int) -> int:
+    """Number of points x of the box prod [0, s) with sum(x - start) <= reach,
+    by inclusion-exclusion over the coordinates that overshoot their side."""
+    d, top = len(box), reach + sum(start)
+    return sum((-1) ** len(over) * math.comb(top - sum(over) + d, d)
+               for j in range(d + 1) for over in itertools.combinations(box, j)
+               if top - sum(over) >= 0)
+
+
 def _dp_bytes(model: WalkModel, n: int) -> float:
     """Predicted peak DP memory at horizon n, in bytes.
 
@@ -113,16 +122,20 @@ def _dp_bytes(model: WalkModel, n: int) -> float:
     output and the product ``c * layer`` of one weight; ``+=`` on an object
     slice also buffers up to ``np.getbufsize()`` sums before writing them
     back.  The escape bounds keep four Fractions (eight ints) per horizon:
-    a_k, g_k and the two interval ends.  An int costs an 8-byte slot, a header
-    with allocator rounding (about 40 bytes) and 4 bytes per 30 bits of a
-    numerator below D^n.
+    a_k, g_k and the two interval ends.  Every entry costs an 8-byte slot.
+    An int costs a header with allocator rounding (about 40 bytes) and 4
+    bytes per 30 bits of a numerator below D^n on top, except in the layer
+    entries past the hyperplane sum(x - start) = n * max_v sum(v), which no
+    walk reaches in n steps: they all point at the cached int 0.
     """
     m = _modulus(model)
     box = [x + n * _step_bound(model) + 1 for x in model.start]
     stored = m ** (model.dimension - 1) * math.prod(-(-s // m) for s in box)
+    reach = n * max(0, *(sum(v) for v, _ in model.dist.steps))
+    zeros = stored - stored * _below_hyperplane(box, model.start, reach) / math.prod(box)
     entries = 3 * stored + min(stored, np.getbufsize()) + 8 * (n + 1)
     bits = n * max(math.log2(model.dist.common_denominator), 1.0)
-    return entries * (48 + bits / 7.5)
+    return 8 * entries + (entries - 3 * zeros) * (40 + bits / 7.5)
 
 
 def _budget_states(model: WalkModel, n: int) -> None:

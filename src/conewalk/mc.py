@@ -5,15 +5,25 @@ by (seed, stream index)), so the estimate is bit-identical regardless of how
 many workers process the streams.
 
 Stream invariant: at each step a stream draws one uniform per walker still
-in the cone, ``rng.random(live.size)``, and hands them out in walker order;
+in the cone, in one ``rng.random`` call, and hands them out in walker order;
 each uniform picks a step by inverse CDF.  Walkers that left the cone draw
 nothing more, and a stream whose last walker left stops.  What a stream
 draws depends only on its own walkers, so the estimates do not depend on
 how many workers run the streams.
+
+Walker pool: each worker takes a contiguous chunk of streams and steps them
+together, so one numpy pass serves many small streams.  Streams enter the
+pool in stream order while its live walkers plus the next stream's count
+stay within twice the largest stream count; the cap keeps memory near that
+of one stream at a time.  A pool step fills one uniform buffer stream by
+stream, then moves, tests and compacts all walkers at once.  A stream
+leaves the pool after n steps (the oldest streams, at the front) or as soon
+as its last walker has left the cone, which can be before an older stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,42 +68,86 @@ def _stream_counts(samples: int) -> list[int]:
     return [base + (1 if s < extra else 0) for s in range(N_STREAMS)]
 
 
-def _run_streams(worker, samples: int, workers: int):
-    counts = _stream_counts(samples)
-    jobs = [(s, c) for s, c in enumerate(counts) if c > 0]
-    if workers <= 1:
-        results = [worker(s, c) for s, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sc: worker(*sc), jobs))
-    return results
+def _chunks(jobs, workers: int):
+    """Split ``jobs`` into at most ``workers`` contiguous runs whose lengths
+    differ by at most one."""
+    parts = min(workers, len(jobs))
+    base, extra = divmod(len(jobs), parts)
+    sizes = [base + 1] * extra + [base] * (parts - extra)
+    return [jobs[end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
+def _run_streams(walk, reduce, samples: int, workers: int):
+    """Run the non-empty streams, each worker one contiguous chunk through
+    ``walk``, and return ``reduce(end, alive)`` per stream in stream order."""
+    jobs = [(s, c) for s, c in enumerate(_stream_counts(samples)) if c > 0]
+
+    def run(chunk):
+        return [reduce(end, alive) for end, alive in walk(chunk)]
+
+    chunks = _chunks(jobs, max(workers, 1))
+    if len(chunks) == 1:
+        return run(chunks[0])
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        return [r for part in pool.map(run, chunks) for r in part]
 
 
 def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
-    """Walker loop: (stream, count) -> end positions and the mask of paths
-    that stayed in the cone for all n steps.  Only live walkers are stepped;
-    the end-position rows of the others are 0."""
+    """Walker loop: [(stream, count)] -> per stream, in the given order, the
+    end positions and the mask of paths that stayed in the cone for all n
+    steps.  Only live walkers are stepped; the end-position rows of the
+    others are 0."""
     steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
     pick = _step_sampler([float(w) for _, w in weighted_steps])
     start = np.asarray(model.start, dtype=np.int64)
     inside = model.cone.inside
 
-    def walk(stream: int, count: int):
-        rng = _stream_rng(seed, stream)
-        live = np.arange(count)          # stream indices of the live walkers
-        pos = np.tile(start, (count, 1))  # their positions, row for row
-        for _ in range(n):
-            pos += steps[pick(rng.random(live.size))]
+    def walk(jobs):
+        cap = 2 * max(c for _, c in jobs)
+        out = [None] * len(jobs)
+        pool = []  # [job, rng, live walkers, steps taken], oldest first
+        pos = np.empty((0, len(start)), dtype=np.int64)  # live walkers, pool order
+        idx = np.empty(0, dtype=np.int64)               # their index in their stream
+        queued = 0
+        while True:
+            while queued < len(jobs) and len(idx) + jobs[queued][1] <= cap:
+                count = jobs[queued][1]
+                pool.append([queued, _stream_rng(seed, jobs[queued][0]), count, 0])
+                pos = np.concatenate([pos, np.tile(start, (count, 1))])
+                idx = np.concatenate([idx, np.arange(count)])
+                queued += 1
+            if not pool:
+                return out
+            # Streams that took n steps are the oldest, so their walkers lead
+            # the pool; a stream with no walkers left holds no rows.
+            if any(t == n or not k for _, _, k, t in pool):
+                a, front = 0, 0
+                for job, _, k, t in pool:
+                    if t == n or not k:
+                        count = jobs[job][1]
+                        end = np.zeros((count, len(start)), dtype=np.int64)
+                        alive = np.zeros(count, dtype=bool)
+                        end[idx[a:a + k]] = pos[a:a + k]
+                        alive[idx[a:a + k]] = True
+                        out[job] = end, alive
+                        front = a + k if t == n else front
+                    a += k
+                pos, idx = pos[front:], idx[front:]
+                pool = [p for p in pool if p[3] < n and p[2]]
+                continue
+            u = np.empty(len(idx))
+            a = 0
+            for p in pool:
+                p[1].random(out=u[a:a + p[2]])
+                a += p[2]
+                p[3] += 1
+            pos += steps[pick(u)]
             stay = inside(pos)
             if not stay.all():
-                live, pos = live[stay], pos[stay]
-                if not live.size:
-                    break
-        end = np.zeros((count, len(start)), dtype=np.int64)
-        end[live] = pos
-        alive = np.zeros(count, dtype=bool)
-        alive[live] = True
-        return end, alive
+                kept = np.cumsum(stay)[np.cumsum([p[2] for p in pool]) - 1].tolist()
+                for p, before, upto in zip(pool, [0] + kept, kept):
+                    p[2] = upto - before
+                pos, idx = pos[stay], idx[stay]
 
     return walk
 
@@ -104,7 +158,7 @@ def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     walk = _walker(model, model.dist.steps, n, seed)
-    hits = sum(_run_streams(lambda s, c: int(walk(s, c)[1].sum()), samples, workers))
+    hits = sum(_run_streams(walk, lambda _end, alive: int(alive.sum()), samples, workers))
     p = hits / samples
     return McEstimate(
         target=f"survival({n})", mean=p,
@@ -126,12 +180,11 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
     walk = _walker(model, analysis.tilted_steps, n, seed)
     prefactor = analysis.rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 
-    def worker(stream: int, count: int):
-        pos, alive = walk(stream, count)
+    def moments(pos, alive):
         vals = np.where(alive, np.exp(-(pos @ t0)), 0.0) * prefactor
         return float(vals.sum()), float((vals ** 2).sum())
 
-    parts = _run_streams(worker, samples, workers)
+    parts = _run_streams(walk, moments, samples, workers)
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / samples

@@ -476,4 +476,29 @@ class TestMemoryBudget:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= _dp_bytes(model, n)
+            assert peak <= _dp_bytes(model, n) <= 2.5 * peak
+
+    @pytest.mark.parametrize("box,start,reach", [
+        ((5,), (2,), 1), ((7, 4), (0, 0), 3), ((7, 4), (1, 2), 20),
+        ((6, 5, 4), (0, 1, 2), 4), ((6, 5, 4), (3, 3, 3), -2), ((3, 3), (1, 1), -5)])
+    def test_points_below_the_hyperplane(self, box, start, reach):
+        points = itertools.product(*(range(s) for s in box))
+        want = sum(1 for x in points if sum(x) - sum(start) <= reach)
+        assert exact_dp._below_hyperplane(box, start, reach) == want
+
+    def test_only_unreachable_entries_drop_to_their_slot(self, five_step_model,
+                                                         exterior_2d):
+        # box 61 x 61 at n = 60.  Five-step's NE step reaches the far corner,
+        # so every entry is charged as an int.  The exterior walk (m = 2, two
+        # classes of 31 x 31) cannot pass x + y = 60: 1891 of the 3721 points.
+        n = 60
+
+        def predicted(stored, ints, denominator):
+            entries = 3 * stored + min(stored, np.getbufsize()) + 8 * (n + 1)
+            ints = entries - 3 * (stored - ints)
+            return 8 * entries + ints * (40 + n * math.log2(denominator) / 7.5)
+
+        assert _dp_bytes(five_step_model, n) == pytest.approx(predicted(61 ** 2, 61 ** 2, 5))
+        stored = 2 * 31 ** 2
+        assert _dp_bytes(exterior_2d, n) == pytest.approx(
+            predicted(stored, stored * 1891 / 3721, 6))

@@ -19,7 +19,7 @@ from conewalk import (
 )
 from conewalk import mc
 from conewalk.errors import DriftNotInterior
-from conewalk.mc import _stream_counts, _stream_rng
+from conewalk.mc import N_STREAMS, _stream_counts, _stream_rng
 
 
 class TestStepSampler:
@@ -68,6 +68,22 @@ class TestStreams:
 
     def test_stream_rng_reproducible(self):
         assert (_stream_rng(9, 3).random(8) == _stream_rng(9, 3).random(8)).all()
+
+    def test_filling_a_slice_draws_the_same_uniforms(self):
+        u = np.zeros(10)
+        rng = _stream_rng(9, 3)
+        rng.random(out=u[2:5])
+        rng.random(out=u[5:9])
+        assert (u[2:9] == _stream_rng(9, 3).random(7)).all()
+        assert not u[[0, 1, 9]].any()
+
+    @pytest.mark.parametrize("jobs,workers", [(16, 1), (16, 2), (16, 3), (5, 4), (3, 8)])
+    def test_chunks_are_contiguous_and_balanced(self, jobs, workers):
+        chunks = mc._chunks(list(range(jobs)), workers)
+        assert len(chunks) == min(jobs, workers)
+        assert [j for chunk in chunks for j in chunk] == list(range(jobs))
+        sizes = [len(chunk) for chunk in chunks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 class TestSimulateSurvival:
@@ -199,26 +215,43 @@ def _reference_walk(model, weighted_steps, n, seed):
 
 
 class _RecordingRng:
-    """Generator proxy that records the size of every ``random`` call."""
+    """Generator proxy that records the size of every ``random`` call, per
+    stream and in the order of all calls."""
 
-    def __init__(self, rng, sizes):
-        self._rng, self.sizes = rng, sizes
+    def __init__(self, rng, stream, sizes, order):
+        self._rng, self.stream, self.sizes, self.order = rng, stream, sizes, order
 
-    def random(self, size):
+    def random(self, size=None, out=None):
+        size = len(out) if out is not None else size
         self.sizes.append(size)
-        return self._rng.random(size)
+        self.order.append((self.stream, size))
+        return self._rng.random(size, out=out)
 
 
-def _record_draws(monkeypatch):
-    """Patch ``mc._stream_rng``; return {stream: [draw sizes]} as it fills."""
+def _record_draws(monkeypatch, order=None):
+    """Patch ``mc._stream_rng``; return {stream: [draw sizes]} as it fills.
+    ``order``, if given, collects (stream, size) across all streams."""
     draws = {}
+    order = [] if order is None else order
     real = mc._stream_rng
 
     def recording(seed, stream):
-        return _RecordingRng(real(seed, stream), draws.setdefault(stream, []))
+        return _RecordingRng(real(seed, stream), stream,
+                             draws.setdefault(stream, []), order)
 
     monkeypatch.setattr(mc, "_stream_rng", recording)
     return draws
+
+
+def _reference_jobs(model, weighted_steps, n, seed):
+    """``_reference_walk`` behind the pooled walker's interface: one stream
+    at a time, results in job order."""
+    walk = _reference_walk(model, weighted_steps, n, seed)
+    return lambda jobs: [walk(stream, count) for stream, count in jobs]
+
+
+def _jobs(samples):
+    return [(s, c) for s, c in enumerate(_stream_counts(samples)) if c > 0]
 
 
 _EXTERIOR_STEPS = {(1, 0): F(1, 6), (0, 1): F(1, 6), (-1, 0): F(1, 3), (0, -1): F(1, 3)}
@@ -244,8 +277,9 @@ def float_halfspace_2d():
 
 
 class TestCompactedWalker:
-    """The live-walker loop of ``mc._walker`` against the uncompacted,
-    mask-based loop under the same stream contract, bit for bit."""
+    """The pooled live-walker loop of ``mc._walker`` against the uncompacted,
+    mask-based loop that runs one stream at a time under the same stream
+    contract, bit for bit."""
 
     CASES = [
         ("five_step_model", 40, 3001),
@@ -263,14 +297,16 @@ class TestCompactedWalker:
         an = analyze(model.dist, model.cone)
         survivors = []
         for weighted in (model.dist.steps, an.tilted_steps):
-            walk = mc._walker(model, weighted, n, seed=3)
-            ref = _reference_walk(model, weighted, n, seed=3)
+            jobs = _jobs(samples)
+            got = mc._walker(model, weighted, n, seed=3)(jobs)
+            want = _reference_jobs(model, weighted, n, seed=3)(jobs)
+            assert len(got) == len(want) == len(jobs)
             hits = 0
-            for stream, count in enumerate(_stream_counts(samples)):
-                pos, alive = walk(stream, count)
-                ref_pos, ref_alive = ref(stream, count)
+            for (_stream, count), (pos, alive), (ref_pos, ref_alive) in zip(jobs, got, want):
+                assert pos.shape == (count, model.dimension) and alive.shape == (count,)
                 assert (alive == ref_alive).all()
                 assert (pos[alive] == ref_pos[ref_alive]).all()
+                assert not pos[~alive].any()
                 hits += int(ref_alive.sum())
             survivors.append(hits)
         if name == "trapped_2d":
@@ -285,20 +321,114 @@ class TestCompactedWalker:
         an = analyze(model.dist, model.cone)
         draws = _record_draws(monkeypatch)
         for weighted in (model.dist.steps, an.tilted_steps):
-            walk = mc._walker(model, weighted, n, seed=3)
-            ref = _reference_walk(model, weighted, n, seed=3)
-            for stream, count in enumerate(_stream_counts(samples)):
-                draws.clear()
-                _pos, alive = walk(stream, count)
-                got = draws.pop(stream)
-                ref(stream, count)
-                live_counts = draws.pop(stream)  # alive.sum() before each step
-                assert got == live_counts
-                assert got[0] == count and all(s > 0 for s in got)
-                if len(got) < n:  # stopped early: the last draw fed the last walkers
+            jobs = _jobs(samples)
+            draws.clear()
+            results = mc._walker(model, weighted, n, seed=3)(jobs)
+            got = dict(draws)
+            draws.clear()
+            _reference_jobs(model, weighted, n, seed=3)(jobs)
+            assert got.keys() == draws.keys() == {s for s, _ in jobs}
+            for (stream, count), (_pos, alive) in zip(jobs, results):
+                sizes, live_counts = got[stream], draws[stream]  # alive.sum() before each step
+                assert sizes == live_counts
+                assert sizes[0] == count and all(s > 0 for s in sizes)
+                if len(sizes) < n:  # stopped early: the last draw fed the last walkers
                     assert not alive.any()
                 if n == 200 and weighted is model.dist.steps:
-                    assert len(got) < n  # exterior: every plain walker dies
+                    assert len(sizes) < n  # exterior: every plain walker dies
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("name,n,samples", [CASES[0], CASES[2], CASES[6]])
+    def test_draws_match_reference_at_any_worker_count(self, request, monkeypatch,
+                                                       name, n, samples, workers):
+        model = request.getfixturevalue(name)
+        an = analyze(model.dist, model.cone)
+        draws = _record_draws(monkeypatch)
+        for weighted in (model.dist.steps, an.tilted_steps):
+            draws.clear()
+            mc._run_streams(mc._walker(model, weighted, n, seed=3),
+                            lambda _end, alive: None, samples, workers)
+            got = {s: list(sizes) for s, sizes in draws.items()}
+            draws.clear()
+            _reference_jobs(model, weighted, n, seed=3)(_jobs(samples))
+            assert got == draws
+
+    def test_horizon_zero_draws_nothing(self, monkeypatch, exterior_2d):
+        an = analyze(exterior_2d.dist, exterior_2d.cone)
+        draws = _record_draws(monkeypatch)
+        for workers in (1, 2):
+            plain = simulate_survival(exterior_2d, 0, 1000, seed=1, workers=workers)
+            tilted = simulate_tilted(exterior_2d, an, 0, 1000, seed=1, workers=workers)
+            assert (plain.mean, plain.std_error) == (1.0, 0.0)
+            # rho^0 e^{<t0,x>} e^{-<t0,x>} = 1 for every sample, up to rounding
+            assert tilted.mean == pytest.approx(1.0, rel=1e-12)
+            assert tilted.std_error == pytest.approx(0.0, abs=1e-6)
+        assert all(sizes == [] for sizes in draws.values())
+
+    @pytest.mark.parametrize("samples", [1, 5, N_STREAMS - 1])
+    def test_fewer_samples_than_streams(self, monkeypatch, exterior_2d, samples):
+        an = analyze(exterior_2d.dist, exterior_2d.cone)
+        draws = _record_draws(monkeypatch)
+
+        def estimates(workers):
+            return (simulate_survival(exterior_2d, 30, samples, seed=4, workers=workers),
+                    simulate_tilted(exterior_2d, an, 30, samples, seed=4, workers=workers))
+
+        pooled = [estimates(w) for w in (1, 2, 4)]
+        assert draws.keys() == set(range(samples))  # the empty streams never start
+        monkeypatch.setattr(mc, "_walker", _reference_jobs)
+        ref = estimates(1)
+        for got in pooled:
+            for est, want in zip(got, ref):
+                assert est.mean.hex() == want.mean.hex()
+                assert est.std_error.hex() == want.std_error.hex()
+
+    def test_later_stream_retires_first(self, monkeypatch, exterior_2d):
+        # plain exterior walks die out fast and at random steps, so a stream
+        # that entered the pool later can empty before an older one
+        n, samples = 200, 16 * 200
+        order = []
+        draws = _record_draws(monkeypatch, order)
+        jobs = _jobs(samples)
+        got = mc._walker(exterior_2d, exterior_2d.dist.steps, n, seed=3)(jobs)
+        last = {stream: i for i, (stream, _) in enumerate(order)}
+        first = {stream: order.index((stream, count)) for stream, count in jobs}
+        pairs = [(old, new) for old in last for new in last
+                 if old < new and last[new] < last[old]]
+        assert pairs
+        # the room a retired stream leaves lets the next stream in while the
+        # older stream still walks
+        assert any(last[new] < first[other] < last[old]
+                   for old, new in pairs for other in first if other > new)
+        assert all(len(sizes) < n for sizes in draws.values())
+        want = _reference_jobs(exterior_2d, exterior_2d.dist.steps, n, seed=3)(jobs)
+        for (_pos, alive), (_ref_pos, ref_alive) in zip(got, want):
+            assert (alive == ref_alive).all()
+
+    @pytest.mark.parametrize("name,n,samples", CASES)
+    def test_pool_holds_at_most_twice_the_largest_stream(self, request, monkeypatch,
+                                                         name, n, samples):
+        model = request.getfixturevalue(name)
+        an = analyze(model.dist, model.cone)
+        rows = []
+        real = type(model.cone).inside
+
+        def counting(cone, points):
+            rows.append(len(points))
+            return real(cone, points)
+
+        monkeypatch.setattr(type(model.cone), "inside", counting)
+        draws = _record_draws(monkeypatch)
+        largest = max(_stream_counts(samples))
+        for weighted in (model.dist.steps, an.tilted_steps):
+            rows.clear()
+            draws.clear()
+            mc._walker(model, weighted, n, seed=3)(_jobs(samples))
+            assert max(rows) <= 2 * largest
+            # rows is the pool size per pool step; each stream step is
+            # one draw, and the pool runs several streams per step
+            assert sum(rows) == sum(map(sum, draws.values()))
+            assert len(rows) < sum(map(len, draws.values()))
 
     @pytest.mark.parametrize("name", ["pos_1d", "five_step_model", "octant_3d",
                                       "wedge_2d", "float_halfspace_2d"])
@@ -324,10 +454,10 @@ class TestCompactedWalker:
             return (simulate_survival(model, n, samples, seed=8, workers=workers),
                     simulate_tilted(model, an, n, samples, seed=8, workers=workers))
 
-        compact = [estimates(1), estimates(4)]
-        monkeypatch.setattr(mc, "_walker", _reference_walk)
+        pooled = [estimates(1), estimates(2), estimates(4)]
+        monkeypatch.setattr(mc, "_walker", _reference_jobs)
         ref = estimates(1)
-        for got in compact:
+        for got in pooled:
             for est, want in zip(got, ref):
                 assert est.mean.hex() == want.mean.hex()
                 assert est.std_error.hex() == want.std_error.hex()
