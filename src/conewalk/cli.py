@@ -17,7 +17,6 @@ from .errors import (
     HorizonTooLarge,
     MemoryBudgetExceeded,
 )
-from .exact_dp import A_INF_HORIZON
 from .model import excursion_target, load_model
 
 DEFAULT_HORIZON = 120
@@ -52,22 +51,15 @@ def _parse_target(raw: str):
 
 
 def _survival_verdict(seq, analysis, bounds, kmax):
-    """Recurrence verdict on the survival terms; with escape bounds, a_inf is
-    the midpoint of the best interval over horizons 0..A_INF_HORIZON."""
-    rho = analysis.rho if analysis is not None else None
-    a_inf = None
-    if bounds is not None:
-        head = bounds.intervals[:A_INF_HORIZON + 1]
-        lo = max(l for l, _ in head)
-        hi = min(h for _, h in head)
-        a_inf = float(lo + hi) / 2.0
-        rho = None  # decay rate of the two-term remainder is not L(t0)
+    """Recurrence verdict on the survival terms; with escape bounds, on their
+    remainder against ``bounds.a_inf``."""
+    # the decay rate of the two-term remainder is not L(t0)
+    rho = analysis.rho if analysis is not None and bounds is None else None
     if rho is None and len(seq.terms) < seqlab.MIN_RATE_TERMS:
         rho = 1.0  # too few terms to estimate a rate from the sequence
-    needed = 2 * kmax + seqlab.MIN_EXTRA_TERMS
-    if len(seq.terms) < needed:
-        kmax = (len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2
-    return seqlab.sequence_verdict(seq.terms, kmax, rho=rho, a_inf=a_inf)
+    kmax = min(kmax, (len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2)
+    return seqlab.sequence_verdict(seq.terms, kmax, rho=rho,
+                                   a_inf=bounds.a_inf if bounds is not None else None)
 
 
 def run_report(argv) -> tuple[dict, int]:
@@ -87,9 +79,8 @@ def run_report(argv) -> tuple[dict, int]:
         sequences: dict[str, exact_dp.ExactSequence] = {}
         verdicts: dict = {}
 
-        bounds_error = exact_dp.bounds_error(model)
-        if command == "bounds" and bounds_error is not None:
-            raise bounds_error
+        if command == "bounds" and (error := exact_dp.bounds_error(model)) is not None:
+            raise error
         analysis = None
         try:
             analysis = laplace.analyze(model.dist, model.cone)
@@ -99,43 +90,35 @@ def run_report(argv) -> tuple[dict, int]:
                 raise
 
         target = None
-        if command == "excursion" or (command == "analyze"
-                                      and args.target is not None):
-            target = excursion_target(
-                model, _parse_target(args.target) if args.target is not None
-                else model.start)
+        if args.target is not None:
+            target = excursion_target(model, _parse_target(args.target))
+        elif command == "excursion":
+            target = model.start
 
-        # One pass yields survival and the excursion; on a bounds model it
-        # also yields a_inf and the bounds block.
+        # One pass yields survival, the excursion and, on a bounds model, the
+        # escape bounds; without survival, the excursion's pass is pruned.
         survival = command in ("analyze", "enumerate", "guess")
         if survival:  # the verdict guesses a recurrence of order at least 1
             seqlab.require_terms(horizon + 1, 1)
-        bounds = excursion = None
-        if bounds_error is None and (survival or command == "bounds"):
-            bounds = exact_dp.escape_probability_bounds(model, horizon, target)
-            if command in ("analyze", "bounds"):
+        if survival or command == "bounds":
+            seq, excursion, bounds = exact_dp.survival_pass(model, horizon, target)
+            if bounds is not None and command in ("analyze", "bounds"):
                 doc["bounds"] = report.bounds_block(bounds)
-        if survival:
-            if bounds is not None:
-                seq, excursion = bounds.survival, bounds.excursion
-            elif target is not None:
-                seq, excursion = exact_dp.survival_and_excursion(model, target, horizon)
-            else:
-                seq = exact_dp.survival_sequence(model, horizon)
-            sequences["survival"] = seq
-            verdicts["survival"] = report.verdict_block(
-                _survival_verdict(seq, analysis, bounds, args.kmax))
+            if survival:
+                sequences["survival"] = seq
+                verdicts["survival"] = report.verdict_block(
+                    _survival_verdict(seq, analysis, bounds, args.kmax))
+        elif target is not None:
+            excursion = exact_dp.excursion_sequence(model, target, horizon)
 
         if target is not None:
-            seq = (excursion if excursion is not None
-                   else exact_dp.excursion_sequence(model, target, horizon))
-            sequences["excursion"] = seq
+            sequences["excursion"] = excursion
             if analysis is not None and analysis.rho_global is not None:
-                period = seqlab.detect_period(seq.terms)
+                period = seqlab.detect_period(excursion.terms)
                 lo = max(horizon // 4, period or 1)
                 try:
                     fit = seqlab.excursion_exponent_fit(
-                        seq.terms, analysis.rho_global, (lo, horizon))
+                        excursion.terms, analysis.rho_global, (lo, horizon))
                     verdicts["excursionExponent"] = {
                         "provenance": "float",
                         "kappa": fit.kappa,
@@ -180,10 +163,8 @@ def run_report(argv) -> tuple[dict, int]:
         return doc, 0
     except (MemoryBudgetExceeded, HorizonTooLarge) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, 3
-    except ConewalkError as exc:
+    except (ConewalkError, OSError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, 2
-    except FileNotFoundError as exc:
-        return {"error": f"FileNotFound: {exc}"}, 2
 
 
 def main(argv=None) -> int:

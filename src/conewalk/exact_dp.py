@@ -14,8 +14,9 @@ denominator), which keeps the arithmetic exact while avoiding per-operation
 gcd reduction, and group their steps by weight so each weight scales the
 stored classes once; the tilted functional uses ``float64``.
 
-``_read`` feeds any set of readouts from one unpruned pass.  It carries the
-survival total and the g-functional of the escape bounds from layer to layer by
+``_read`` reads survival, the excursion and the escape bounds' g-functional
+off one unpruned pass, and ``survival_pass`` is the one call for all three.
+It carries the survival total and the g-functional from layer to layer by
 subtracting what exits through the boundary slabs of each class: both f = 1
 and g are harmonic for the free walk, so neither sums the layer.  The
 excursion readout is one entry of one class.
@@ -93,6 +94,13 @@ class EscapeBounds:
     g_sequence: ExactSequence
     survival: ExactSequence
     excursion: ExactSequence | None
+
+    @property
+    def a_inf(self) -> float:
+        """The estimate of P(tau = inf): the midpoint of the best interval
+        over horizons 0..A_INF_HORIZON."""
+        head = self.intervals[:A_INF_HORIZON + 1]
+        return float(max(lo for lo, _ in head) + min(hi for _, hi in head)) / 2.0
 
 
 def _mem_budget() -> int:
@@ -288,10 +296,10 @@ def _exit_slabs(layer: dict, v, m: int):
                 yield a[slab], [t + m * (c + b) for t, c, b in zip(to, lo, shift)]
 
 
-def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]]:
-    """Read the survival sequence, one sequence per carried functional and one
-    per readout, in that order, off one unpruned pass over the integer layers
-    0..n.  Readout j maps a layer to the numerator over D^k of its term k.
+def _read(model: WalkModel, n: int, target=None, carried=()):
+    """Read the survival sequence, the excursion sequence at ``target`` (None
+    without one) and one term list per carried functional off one unpruned
+    pass over the integer layers 0..n.
 
     A carried functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
     free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
@@ -299,11 +307,15 @@ def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]
     outside the orthant).  It is given as the pair (f(start), exit_sum), where
     ``exit_sum(slab, corner, m)`` sums slab[c] f(corner + m*c) over one slab
     of ``_exit_slabs``.  Survival is the functional f = 1.  The step holds only
-    when every layer is the whole confined mass; so this pass takes no target.
+    when every layer is the whole confined mass; so no target prunes it.
     """
     den = model.dist.common_denominator
     steps, _den = model.dist.integer_weights()
     m = _modulus(model)
+    readouts = []
+    if target is not None:
+        target, readout = _excursion_readout(model, target)
+        readouts.append(readout)
     carried = [(1, lambda slab, _corner, _m: slab.sum()), *carried]
     values = [start for start, _ in carried]
     sequences = [[] for _ in range(len(carried) + len(readouts))]
@@ -316,7 +328,11 @@ def _read(model: WalkModel, n: int, readouts, carried=()) -> list[list[Fraction]
                                        for slab, corner in _exit_slabs(layer, v, m)))
                       for v, c in steps)
                   for value, (_, exit_sum) in zip(values, carried)]
-    return sequences
+    h = model.model_hash()
+    survival, *carried_terms = sequences[:len(carried)]
+    excursion = (ExactSequence(tuple(sequences[-1]), "excursion", h, n, target=target)
+                 if readouts else None)
+    return ExactSequence(tuple(survival), "survival", h, n), excursion, carried_terms
 
 
 def _excursion_readout(model: WalkModel, y):
@@ -336,8 +352,7 @@ def _excursion_readout(model: WalkModel, y):
 
 def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
     """Exact survival probabilities a_0..a_n."""
-    [terms] = _read(model, n, [])
-    return ExactSequence(tuple(terms), "survival", model.model_hash(), n)
+    return _read(model, n)[0]
 
 
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
@@ -347,16 +362,6 @@ def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     terms = tuple(Fraction(readout(layer), den ** k)
                   for k, layer in enumerate(_integer_layers(model, n, y)))
     return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
-
-
-def survival_and_excursion(model: WalkModel, y,
-                           n: int) -> tuple[ExactSequence, ExactSequence]:
-    """Exact survival and excursion sequences at y, read off one pass."""
-    y, readout = _excursion_readout(model, y)
-    survival, excursion = _read(model, n, [readout])
-    h = model.model_hash()
-    return (ExactSequence(tuple(survival), "survival", h, n),
-            ExactSequence(tuple(excursion), "excursion", h, n, target=y))
 
 
 def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
@@ -444,13 +449,9 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
                                g, corner[i] + 1, m) for i, g in gammas.items()),
                    Fraction(0))
 
-    readouts = []
-    if target is not None:
-        target, readout = _excursion_readout(model, target)
-        readouts.append(readout)
-    a_terms, g_terms, *e_terms = _read(
-        model, n, readouts, [(boundary_exit_g(model, model.start), exit_g)])
-    intervals = [(a_k - g_k, a_k - g_k / d) for a_k, g_k in zip(a_terms, g_terms)]
+    survival, excursion, [g_terms] = _read(
+        model, n, target, [(boundary_exit_g(model, model.start), exit_g)])
+    intervals = [(a_k - g_k, a_k - g_k / d) for a_k, g_k in zip(survival.terms, g_terms)]
 
     best_lo = max(lo for lo, _ in intervals)
     best_hi = min(hi for _, hi in intervals)
@@ -458,10 +459,20 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
         raise RuntimeError(
             "escape-bound intervals do not intersect; this indicates a bug"
         )
-    h = model.model_hash()
-    excursion = (ExactSequence(tuple(e_terms[0]), "excursion", h, n, target=target)
-                 if e_terms else None)
     return EscapeBounds(intervals=tuple(intervals), best=(best_lo, best_hi),
-                        g_sequence=ExactSequence(tuple(g_terms), "g_functional", h, n),
-                        survival=ExactSequence(tuple(a_terms), "survival", h, n),
-                        excursion=excursion)
+                        g_sequence=ExactSequence(tuple(g_terms), "g_functional",
+                                                 survival.model_hash, n),
+                        survival=survival, excursion=excursion)
+
+
+def survival_pass(model: WalkModel, n: int, target=None) -> tuple[
+        ExactSequence, ExactSequence | None, EscapeBounds | None]:
+    """Survival a_0..a_n, the excursion at ``target`` (None without one) and
+    the escape bounds (None where ``bounds_error`` rejects the model), off one
+    unpruned pass: on a bounds model it is the pass of
+    ``escape_probability_bounds``."""
+    if bounds_error(model) is None:
+        bounds = escape_probability_bounds(model, n, target)
+        return bounds.survival, bounds.excursion, bounds
+    survival, excursion, _ = _read(model, n, target)
+    return survival, excursion, None

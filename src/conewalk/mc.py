@@ -1,5 +1,9 @@
 """Monte Carlo estimation of survival and escape probabilities.
 
+One estimator gives every mean and std error, from the samples
+rho^n e^{<t0,x>} e^{-<t0,S_n>} of confined paths.  Plain sampling is its
+zero tilt: t0 = 0 and rho = 1 under the model's own weights.
+
 Sampling is split over a fixed set of counter-based substreams (Philox keyed
 by (seed, stream index)), so the estimate is bit-identical regardless of how
 many workers process the streams.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,19 +156,37 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
     return walk
 
 
-def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
-                      workers: int = 1) -> McEstimate:
-    """Plain Monte Carlo estimate of the survival probability a_n."""
+def _estimate(model: WalkModel, weighted_steps, t0, rho: float, n: int,
+              samples: int, seed: int, workers: int, method: str) -> McEstimate:
+    """Mean and std error of rho^n e^{<t0,x>} e^{-<t0,S_n>} over the paths
+    that stay in the cone, walked under the given step weights."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    walk = _walker(model, model.dist.steps, n, seed)
-    hits = sum(_run_streams(walk, lambda _end, alive: int(alive.sum()), samples, workers))
-    p = hits / samples
+    t0 = np.asarray(t0, dtype=float)
+    walk = _walker(model, weighted_steps, n, seed)
+    prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
+
+    def moments(pos, alive):
+        vals = np.where(alive, np.exp(-(pos @ t0)), 0.0) * prefactor
+        return float(vals.sum()), float((vals ** 2).sum())
+
+    parts = _run_streams(walk, moments, samples, workers)
+    total, total_sq = map(math.fsum, zip(*parts))
+    mean = total / samples
+    var = max(total_sq / samples - mean ** 2, 0.0)
     return McEstimate(
-        target=f"survival({n})", mean=p,
-        std_error=math.sqrt(p * (1.0 - p) / samples),
-        samples=samples, method="plain", seed=seed, horizon=n,
+        target=f"survival({n})", mean=mean,
+        std_error=math.sqrt(var / samples),
+        samples=samples, method=method, seed=seed, horizon=n,
     )
+
+
+def simulate_survival(model: WalkModel, n: int, samples: int, seed: int,
+                      workers: int = 1) -> McEstimate:
+    """Plain Monte Carlo estimate of the survival probability a_n: the tilted
+    estimator at t0 = 0, rho = 1 under the model's own weights."""
+    return _estimate(model, model.dist.steps, [0.0] * model.dimension, 1.0, n,
+                     samples, seed, workers, "plain")
 
 
 def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
@@ -172,28 +194,10 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
     """Importance-sampling estimate of a_n under the exponentially tilted law.
 
     Each confined path contributes rho^n e^{<t0,x>} e^{-<t0,S_n>}; the
-    estimator is unbiased for a_n and collapses to plain sampling at t0 = 0.
+    estimator is unbiased for a_n and is plain sampling at t0 = 0.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    t0 = np.asarray(analysis.t0, dtype=float)
-    walk = _walker(model, analysis.tilted_steps, n, seed)
-    prefactor = analysis.rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
-
-    def moments(pos, alive):
-        vals = np.where(alive, np.exp(-(pos @ t0)), 0.0) * prefactor
-        return float(vals.sum()), float((vals ** 2).sum())
-
-    parts = _run_streams(walk, moments, samples, workers)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / samples
-    var = max(total_sq / samples - mean ** 2, 0.0)
-    return McEstimate(
-        target=f"survival({n})", mean=mean,
-        std_error=math.sqrt(var / samples),
-        samples=samples, method="tilted", seed=seed, horizon=n,
-    )
+    return _estimate(model, analysis.tilted_steps, analysis.t0, analysis.rho, n,
+                     samples, seed, workers, "tilted")
 
 
 @dataclass(frozen=True)
@@ -211,9 +215,8 @@ def estimate_escape(model: WalkModel, n: int, samples: int, seed: int,
     """
     if classify_drift(model.dist.drift, model.cone) is not DriftClass.INTERIOR:
         raise DriftNotInterior("the escape probability vanishes without interior drift")
-    est = simulate_survival(model, n, samples, seed, workers=workers)
-    est = McEstimate(target="escape", mean=est.mean, std_error=est.std_error,
-                     samples=est.samples, method="plain", seed=seed, horizon=n)
+    est = replace(simulate_survival(model, n, samples, seed, workers=workers),
+                  target="escape")
     bounds = None
     if bounds_error(model) is None:
         bounds = escape_probability_bounds(model, min(n, A_INF_HORIZON))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -338,7 +339,17 @@ def _find_interior_witness(dist: StepDistribution, cone: ConeSpec) -> Reachabili
     return None
 
 
+def _integers(values, what: str, error=MalformedFile) -> tuple[int, ...]:
+    """The entries of ``values`` as ints.  Only Python and numpy integers
+    pass: int() would truncate a float, parse a string and read a bool."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or not all(
+            isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in values):
+        raise error(f"{what} must be integers, got {values!r}")
+    return tuple(map(int, values))
+
+
 def build_model(dist: StepDistribution, cone: ConeSpec, start) -> WalkModel:
+    start = _integers(start, "start")
     witness = _find_interior_witness(dist, cone)
     if witness is None:
         warnings.warn(
@@ -347,12 +358,11 @@ def build_model(dist: StepDistribution, cone: ConeSpec, start) -> WalkModel:
             UserWarning,
             stacklevel=2,
         )
-    return WalkModel(dist=dist, cone=cone, start=tuple(int(c) for c in start),
-                     interior_witness=witness)
+    return WalkModel(dist=dist, cone=cone, start=start, interior_witness=witness)
 
 
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise MalformedFile(f"weight {s!r} must be a 'p/q' string or integer")
@@ -360,8 +370,6 @@ def _parse_rational(s) -> Fraction:
         frac = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedFile(f"bad rational {s!r}") from exc
-    if frac.denominator <= 0:
-        raise MalformedFile(f"bad rational {s!r}")
     return frac
 
 
@@ -376,10 +384,7 @@ def parse_model(text: str, normalize: bool = False) -> WalkModel:
     for key in ("dimension", "steps", "cone", "start"):
         if key not in doc:
             raise MalformedFile(f"missing field {key!r}")
-    try:
-        d = int(doc["dimension"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedFile("dimension must be an integer") from exc
+    [d] = _integers([doc["dimension"]], "dimension")
 
     raw_steps = doc["steps"]
     if not isinstance(raw_steps, list) or not raw_steps:
@@ -388,11 +393,7 @@ def parse_model(text: str, normalize: bool = False) -> WalkModel:
     for entry in raw_steps:
         if not isinstance(entry, dict) or "v" not in entry or "w" not in entry:
             raise MalformedFile(f"bad step entry {entry!r}")
-        try:
-            v = tuple(int(c) for c in entry["v"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedFile(f"step vector {entry['v']!r} must be integers") from exc
-        steps.append((v, _parse_rational(entry["w"])))
+        steps.append((_integers(entry["v"], "step vector"), _parse_rational(entry["w"])))
 
     total = sum(w for _, w in steps)
     if total != 1:
@@ -417,16 +418,16 @@ def parse_model(text: str, normalize: bool = False) -> WalkModel:
         raise MalformedFile(f"unknown cone type {cone_doc['type']!r}")
 
     dist = StepDistribution(dimension=d, steps=tuple(steps))
-    try:
-        start = tuple(int(c) for c in doc["start"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedFile("start must be an integer vector") from exc
-    return build_model(dist, cone, start)
+    return build_model(dist, cone, doc["start"])
 
 
 def load_model(path, normalize: bool = False) -> WalkModel:
     with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read(), normalize=normalize)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"model file is not UTF-8: {exc}") from exc
+    return parse_model(text, normalize=normalize)
 
 
 def _enumerate_layers(model: WalkModel, n: int):
@@ -466,7 +467,7 @@ def brute_force_survival(model: WalkModel, n: int) -> list[Fraction]:
 def excursion_target(model: WalkModel, y) -> tuple[int, ...]:
     """Check that an excursion target y is a point of Z^d in the cone;
     return it as a tuple."""
-    y = tuple(int(c) for c in y)
+    y = _integers(y, "target", PointOutsideCone)
     if len(y) != model.dimension:
         raise PointOutsideCone(f"target {y} is not a point of Z^{model.dimension}")
     if not model.cone.contains(y):

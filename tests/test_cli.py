@@ -254,6 +254,33 @@ class TestDpPasses:
         if command != "bounds":
             assert doc["verdicts"]["survival"] == two_pass_verdict
 
+    def test_enumerate_target_reads_the_excursion_off_its_pass(self, exterior_path,
+                                                               dp_passes):
+        doc, code = run_report(["enumerate", "--model", exterior_path,
+                                "--horizon", "60", "--target", "0,0"])
+        assert code == 0
+        assert dp_passes == [60]
+        want, code = run_report(["excursion", "--model", exterior_path,
+                                 "--horizon", "60", "--target", "0,0"])
+        assert code == 0
+        assert doc["sequences"]["excursion"] == want["sequences"]["excursion"]
+        assert doc["verdicts"]["excursionExponent"] == want["verdicts"]["excursionExponent"]
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",
+                                         "bounds", "guess", "simulate"])
+    def test_target_on_every_command_is_one_pass(self, five_step_path, dp_passes,
+                                                 command):
+        # survival commands read the excursion off their pass; rho and
+        # simulate make the pruned excursion pass
+        doc, code = run_report([command, "--model", five_step_path, "--horizon", "40",
+                                "--target", "1,0", "--samples", "200"])
+        assert code == 0
+        assert dp_passes == [40]
+        model = load_model(five_step_path)
+        assert doc["sequences"]["excursion"] == report.sequence_block(
+            excursion_sequence(model, (1, 0), 40))
+        assert "excursionExponent" in doc["verdicts"]
+
     def test_bounds_rule_fails_before_laplace(self, tmp_path, dp_passes, monkeypatch):
         # Laplace would raise Unbounded here: every step points out of the cone
         path = tmp_path / "dying.json"
@@ -299,6 +326,25 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "error" in doc
 
+    def test_directory_as_model(self, tmp_path):
+        doc, code = run_report(["analyze", "--model", str(tmp_path)])
+        assert code == 2
+        assert doc["error"].startswith("IsADirectoryError: ")
+
+    def test_non_utf8_model(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(FIVE_STEP).encode() + b" \xe9")
+        doc, code = run_report(["analyze", "--model", str(path)])
+        assert code == 2
+        assert doc["error"].startswith("MalformedFile: model file is not UTF-8")
+
+    def test_out_names_an_existing_file(self, neg_1d_path, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        doc, code = run_report(["rho", "--model", neg_1d_path, "--out", str(out)])
+        assert code == 2
+        assert doc["error"].startswith("FileExistsError: ")
+
     def test_malformed_model(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -312,7 +358,8 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert "try horizon" in doc["error"]
 
-    @pytest.mark.parametrize("command", ["analyze", "excursion"])
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",
+                                         "bounds", "guess", "simulate"])
     @pytest.mark.parametrize("target, error", [
         ("a,b", "ConewalkError"), ("0,,0", "ConewalkError"), ("", "ConewalkError"),
         ("0,-1", "PointOutsideCone"), ("0", "PointOutsideCone"),
@@ -320,7 +367,7 @@ class TestErrorsAndExitCodes:
     def test_bad_target(self, five_step_path, command, target, error):
         doc, code = run_report([command, "--model", five_step_path,
                                 "--horizon", "10", "--kmax", "2",
-                                "--target", target])
+                                "--target", target, "--samples", "10"])
         assert code == 2
         assert doc["error"].startswith(f"{error}: ")
 

@@ -230,8 +230,10 @@ class TestKernel:
             dying = walk({(-1, 0): F(1, 2), (0, -1): F(1, 2)}, (1, 1))
         for model in (pos_1d, big_step_1d, octant_3d, big_step_2d, exterior_2d,
                       offset, KREWERAS, DIAGONAL, dying):
-            survival, layer_sums = exact_dp._read(
-                model, 10, [lambda layer: sum(a.sum() for a in layer.values())])
+            den = model.dist.common_denominator
+            layer_sums = [F(sum(a.sum() for a in layer.values()), den ** k)
+                          for k, layer in enumerate(exact_dp._integer_layers(model, 10))]
+            survival = list(survival_sequence(model, 10).terms)
             assert survival == layer_sums
         assert survival[2] > 0 and survival[3:] == [0] * 8
 
@@ -284,17 +286,22 @@ class TestExcursion:
             assert seq.terms[k] == layer.masses.get((0, 0), F(0))
 
     def test_one_pass_reads_the_excursion(self, exterior_2d, simple_walk_2d,
-                                          big_step_2d, octant_3d):
+                                          big_step_2d, octant_3d, five_step_model):
         # the unpruned pass reads y off class y mod m, and reads 0 while that
         # class is not stored
         cases = [(model, y) for model in (exterior_2d, simple_walk_2d)
                  for y in ((0, 0), (1, 0), (3, 2))]
         cases += [(KREWERAS, (0, 0)), (KREWERAS, (2, 0)), (big_step_2d, (2, 1)),
-                  (octant_3d, (1, 0, 1)), (DIAGONAL, (1, 2)), (DIAGONAL, (0, 3))]
+                  (octant_3d, (1, 0, 1)), (DIAGONAL, (1, 2)), (DIAGONAL, (0, 3)),
+                  (five_step_model, (1, 2))]
         for model, y in cases:
-            survival, excursion = exact_dp.survival_and_excursion(model, y, 15)
+            survival, excursion, bounds = exact_dp.survival_pass(model, 15, y)
             assert survival == survival_sequence(model, 15)
             assert excursion == excursion_sequence(model, y, 15)
+            assert (bounds is None) == (exact_dp.bounds_error(model) is not None)
+            if bounds is not None:
+                assert bounds == escape_probability_bounds(model, 15, y)
+                assert (bounds.survival, bounds.excursion) == (survival, excursion)
 
     def test_periodicity_of_simple_walk(self, simple_walk_2d):
         terms = excursion_sequence(simple_walk_2d, (0, 0), 10).terms
@@ -445,6 +452,16 @@ class TestEscapeBounds:
             head = full.intervals[:k + 1]
             best = (max(lo for lo, _ in head), min(hi for _, hi in head))
             assert best == escape_probability_bounds(five_step_model, k).best
+
+    def test_a_inf_is_the_midpoint_up_to_its_horizon(self, five_step_model):
+        # past A_INF_HORIZON the later, tighter intervals do not enter a_inf
+        long = escape_probability_bounds(five_step_model, exact_dp.A_INF_HORIZON + 10)
+        short = escape_probability_bounds(five_step_model, exact_dp.A_INF_HORIZON)
+        assert long.best != short.best
+        lo, hi = short.best
+        assert long.a_inf == short.a_inf == float(lo + hi) / 2.0
+        lo, hi = escape_probability_bounds(five_step_model, 10).best
+        assert escape_probability_bounds(five_step_model, 10).a_inf == float(lo + hi) / 2.0
 
 
 class TestMemoryBudget:

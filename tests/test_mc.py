@@ -100,6 +100,10 @@ class TestSimulateSurvival:
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
+    def test_no_survivor_has_zero_std_error(self, exterior_2d):
+        est = simulate_survival(exterior_2d, 200, 2000, seed=3)
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+
     def test_deterministic_across_workers(self, five_step_model):
         one = simulate_survival(five_step_model, 15, 10_000, seed=3, workers=1)
         four = simulate_survival(five_step_model, 15, 10_000, seed=3, workers=4)
@@ -136,6 +140,21 @@ class TestSimulateTilted:
         est = simulate_tilted(exterior_2d, an, n, 20_000, seed=2)
         plain = simulate_survival(exterior_2d, n, 20_000, seed=2)
         assert est.mean == pytest.approx(plain.mean, abs=1e-12)
+
+    @pytest.mark.parametrize("name,n,samples", [("exterior_2d", 10, 20_000),
+                                                ("five_step_model", 40, 3001),
+                                                ("wedge_2d", 40, 3001)])
+    def test_plain_is_the_zero_tilt_bit_for_bit(self, request, name, n, samples):
+        # five-step at seed 8: p(1 - p) and E[X^2] - mean^2 round apart
+        model = request.getfixturevalue(name)
+        zero = dataclasses.replace(analyze(model.dist, model.cone),
+                                   t0=(0.0,) * model.dimension, rho=1.0,
+                                   tilted_steps=model.dist.steps)
+        for workers in (1, 2):
+            plain = simulate_survival(model, n, samples, seed=8, workers=workers)
+            tilted = simulate_tilted(model, zero, n, samples, seed=8, workers=workers)
+            assert tilted.mean.hex() == plain.mean.hex()
+            assert tilted.std_error.hex() == plain.std_error.hex()
 
     def test_variance_reduction_deep_tail(self, exterior_2d):
         n = 60

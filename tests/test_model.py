@@ -128,6 +128,35 @@ class TestParsing:
         with pytest.raises(MalformedFile):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("dimension", [2.9, 2.0, "2", True, None, [2]])
+    def test_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(MalformedFile, match="dimension must be integers"):
+            parse_model(json.dumps(dict(FIVE_STEP_DOC, dimension=dimension)))
+
+    @pytest.mark.parametrize("v", [[1.5, 0], [1.0, 0], ["1", 0], [True, 0], 1, "10"])
+    def test_step_vector_must_be_integers(self, v):
+        steps = [dict(FIVE_STEP_DOC["steps"][0], v=v)] + FIVE_STEP_DOC["steps"][1:]
+        with pytest.raises(MalformedFile, match="step vector must be integers"):
+            parse_model(json.dumps(dict(FIVE_STEP_DOC, steps=steps)))
+
+    @pytest.mark.parametrize("start", [[0.9, "0"], [0.0, 0], [True, 0], [0, False], 0])
+    def test_start_must_be_integers(self, start):
+        with pytest.raises(MalformedFile, match="start must be integers"):
+            parse_model(json.dumps(dict(FIVE_STEP_DOC, start=start)))
+
+    def test_library_start_must_be_integers(self, five_step_model):
+        with pytest.raises(MalformedFile, match="start must be integers"):
+            build_model(five_step_model.dist, five_step_model.cone, (0.9, 0))
+        start = build_model(five_step_model.dist, five_step_model.cone,
+                            np.array([1, 2])).start
+        assert start == (1, 2) and all(type(c) is int for c in start)
+
+    def test_weight_is_not_a_bool(self):
+        steps = [{"v": [1], "w": True}, {"v": [-1], "w": 0}]
+        doc = {"dimension": 1, "steps": steps, "cone": {"type": "orthant"}, "start": [0]}
+        with pytest.raises(MalformedFile, match="must be a 'p/q' string or integer"):
+            parse_model(json.dumps(doc))
+
 
 class TestBruteForce:
     def test_1d_symmetric(self, sym_1d):
@@ -158,11 +187,16 @@ class TestBruteForce:
         with pytest.raises(PointOutsideCone):
             brute_force_excursion(five_step_model, (-1, 0), 2)
 
-    @pytest.mark.parametrize("target", [(0,), (0, 0, 0), (0, -1)])
+    @pytest.mark.parametrize("target", [(0,), (0, 0, 0), (0, -1), (0.7, 0), (0.0, 0),
+                                        (True, 0), ("0", 0), 0])
     def test_excursion_target_shares_the_dp_rule(self, five_step_model, target):
         for excursion in (brute_force_excursion, excursion_sequence):
             with pytest.raises(PointOutsideCone):
                 excursion(five_step_model, target, 2)
+
+    def test_numpy_integer_target(self, five_step_model):
+        assert (excursion_sequence(five_step_model, np.array([0, 0]), 4)
+                == excursion_sequence(five_step_model, (0, 0), 4))
 
     def test_survival_non_increasing(self, five_step_model):
         a = brute_force_survival(five_step_model, 6)
