@@ -5,7 +5,6 @@ from .exact_dp import (
     EscapeBounds,
     ExactSequence,
     StateLayer,
-    boundary_exit_g,
     escape_probability_bounds,
     excursion_sequence,
     survival_layers,
@@ -23,9 +22,7 @@ from .laplace import (
     tilt_distribution,
 )
 from .mc import (
-    EscapeEstimate,
     McEstimate,
-    estimate_escape,
     simulate_survival,
     simulate_tilted,
 )

@@ -427,20 +427,17 @@ def _power_sum(marginal, g: Fraction, e: int, m: int) -> Fraction:
     return Fraction(h * big_p * q ** e, p_pow * p ** e)
 
 
-def boundary_exit_g(model: WalkModel, y) -> Fraction:
-    """Exact upper harmonic bound g(y) on the exit probability from y."""
-    y = tuple(int(c) for c in y)
-    return sum((g ** (y[i] + 1) for i, g in _gammas(model).items()), Fraction(0))
-
-
 def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBounds:
     """Per-horizon intervals [a_k - g_k, a_k - g_k/d] around P^x(tau=inf).
 
-    g_k = sum_x P^x(tau > k, S_k = x) g(x) is carried by exit mass like a_k.
-    With a target y, the same pass also reads the excursion sequence at y.
+    g(x) = sum_i g_i^(x_i + 1) is the exact upper harmonic bound on the exit
+    probability from x, and g_k = sum_x P^x(tau > k, S_k = x) g(x) is carried
+    by exit mass like a_k, from g_0 = g(start).  With a target y, the same
+    pass also reads the excursion sequence at y.
     """
     gammas = _gammas(model)
     d = model.dimension
+    g_start = sum((g ** (model.start[i] + 1) for i, g in gammas.items()), Fraction(0))
 
     def exit_g(slab: np.ndarray, corner, m: int) -> Fraction:
         # g(x) = sum_i g_i^(x_i + 1), so each term is a power sum in g_i^m
@@ -450,7 +447,7 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
                    Fraction(0))
 
     survival, excursion, [g_terms] = _read(
-        model, n, target, [(boundary_exit_g(model, model.start), exit_g)])
+        model, n, target, [(g_start, exit_g)])
     intervals = [(a_k - g_k, a_k - g_k / d) for a_k, g_k in zip(survival.terms, g_terms)]
 
     best_lo = max(lo for lo, _ in intervals)

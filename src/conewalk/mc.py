@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of survival and escape probabilities.
+"""Monte Carlo estimation of survival probabilities.
 
 One estimator gives every mean and std error, from the samples
 rho^n e^{<t0,x>} e^{-<t0,S_n>} of confined paths.  Plain sampling is its
@@ -30,13 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriftNotInterior
-from .exact_dp import A_INF_HORIZON, EscapeBounds, bounds_error, escape_probability_bounds
-from .laplace import DriftClass, LaplaceAnalysis, classify_drift
+from .laplace import LaplaceAnalysis
 from .model import WalkModel
 
 N_STREAMS = 16
@@ -44,7 +42,7 @@ N_STREAMS = 16
 
 @dataclass(frozen=True)
 class McEstimate:
-    target: str                    # "survival(n)" or "escape"
+    target: str                    # "survival(n)"
     mean: float
     std_error: float
     samples: int
@@ -198,26 +196,3 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
     """
     return _estimate(model, analysis.tilted_steps, analysis.t0, analysis.rho, n,
                      samples, seed, workers, "tilted")
-
-
-@dataclass(frozen=True)
-class EscapeEstimate:
-    estimate: McEstimate
-    bounds: EscapeBounds | None
-
-
-def estimate_escape(model: WalkModel, n: int, samples: int, seed: int,
-                    workers: int = 1) -> EscapeEstimate:
-    """Finite-horizon proxy for P^x(tau = infinity).
-
-    The plain estimate of a_n is upper-biased by the (exponentially small)
-    tail; the exact two-sided bounds are attached when available.
-    """
-    if classify_drift(model.dist.drift, model.cone) is not DriftClass.INTERIOR:
-        raise DriftNotInterior("the escape probability vanishes without interior drift")
-    est = replace(simulate_survival(model, n, samples, seed, workers=workers),
-                  target="escape")
-    bounds = None
-    if bounds_error(model) is None:
-        bounds = escape_probability_bounds(model, min(n, A_INF_HORIZON))
-    return EscapeEstimate(estimate=est, bounds=bounds)

@@ -11,8 +11,9 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -96,6 +97,36 @@ def _feasible(rows, rhs, free) -> bool:
         basis[r] = col
 
 
+_SEQUENCES = (list, tuple, np.ndarray)
+
+
+def _integers(values, what: str, error=MalformedFile) -> tuple[int, ...]:
+    """The entries of ``values`` as ints.  Only Python and numpy integers
+    pass: int() would truncate a float, parse a string and read a bool."""
+    if not isinstance(values, _SEQUENCES) or not all(
+            isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in values):
+        raise error(f"{what} must be integers, got {values!r}")
+    return tuple(map(int, values))
+
+
+def _dimension(value) -> int:
+    [d] = _integers([value], "dimension")
+    if d < 1:
+        raise MalformedFile(f"dimension must be positive, got {d}")
+    return d
+
+
+def _finite_floats(normal) -> tuple[float, ...]:
+    """The entries of a cone normal as floats.  Only real numbers that are
+    finite as floats pass (not NaN, an infinity or an int past the largest
+    float): float() would parse a string and read a bool."""
+    if not isinstance(normal, _SEQUENCES) or not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool)
+            and abs(c) <= sys.float_info.max for c in normal):
+        raise MalformedFile(f"normal must be finite numbers, got {normal!r}")
+    return tuple(map(float, normal))
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """Finite lattice increment distribution with exact rational weights."""
@@ -104,20 +135,24 @@ class StepDistribution:
     steps: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
-        d = self.dimension
-        if d < 1:
-            raise MalformedFile(f"dimension must be positive, got {d}")
+        d = _dimension(self.dimension)
         if not self.steps:
             raise MalformedFile("empty step set")
+        steps = tuple((_integers(v, "step vector"), w) for v, w in self.steps)
         seen = set()
-        for v, w in self.steps:
+        for v, w in steps:
             if len(v) != d:
                 raise MalformedFile(f"step {v} has wrong dimension")
             if v in seen:
                 raise MalformedFile(f"duplicate step vector {v}")
             seen.add(v)
+            # a float is not exact and a bool is not a weight
+            if not isinstance(w, numbers.Rational) or isinstance(w, bool):
+                raise MalformedFile(f"weight {w!r} on step {v} must be a Fraction or integer")
             if w <= 0:
                 raise MalformedFile(f"non-positive weight {w} on step {v}")
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "steps", tuple((v, Fraction(w)) for v, w in steps))
         total = sum(w for _, w in self.steps)
         if total != 1:
             raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
@@ -172,6 +207,10 @@ class ConeSpec:
     normals: tuple[tuple[float, ...], ...] | None = None  # None means orthant
 
     def __post_init__(self):
+        # normals first: ``polyhedral`` reads the dimension off the first one
+        if self.normals is not None:
+            object.__setattr__(self, "normals", tuple(map(_finite_floats, self.normals)))
+        object.__setattr__(self, "dimension", _dimension(self.dimension))
         if self.normals is not None:
             for a in self.normals:
                 if len(a) != self.dimension:
@@ -185,10 +224,11 @@ class ConeSpec:
 
     @classmethod
     def polyhedral(cls, normals) -> "ConeSpec":
-        normals = tuple(tuple(float(c) for c in a) for a in normals)
-        if not normals:
-            raise MalformedFile("polyhedral cone needs at least one normal")
-        return cls(dimension=len(normals[0]), normals=normals)
+        if not isinstance(normals, _SEQUENCES) or not len(normals):
+            raise MalformedFile(f"polyhedral cone needs a list of normals, got {normals!r}")
+        first = normals[0]
+        return cls(dimension=len(first) if isinstance(first, _SEQUENCES) else 0,
+                   normals=normals)
 
     @property
     def is_orthant(self) -> bool:
@@ -246,10 +286,9 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class ReachabilityWitness:
-    """Path certifying that the walk can reach the cone interior."""
+    """A confined path of the given length reaches the interior point target."""
 
     length: int
-    path: tuple[tuple[int, ...], ...]
     target: tuple[int, ...]
 
 
@@ -258,9 +297,9 @@ class WalkModel:
     dist: StepDistribution
     cone: ConeSpec
     start: tuple[int, ...]
-    interior_witness: ReachabilityWitness | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _integers(self.start, "start"))
         if len(self.start) != self.dist.dimension:
             raise MalformedFile("start point has wrong dimension")
         if self.cone.dimension != self.dist.dimension:
@@ -279,6 +318,30 @@ class WalkModel:
     @property
     def trapped(self) -> bool:
         return all(self.cone.contains(v) for v, _ in self.dist.steps)
+
+    @cached_property
+    def interior_witness(self) -> ReachabilityWitness | None:
+        """BFS over confined states from 0, looking for an interior point.
+
+        Depth is capped at 2d + 2; absence of a witness is generically a sign
+        of a degenerate model, so ``build_model`` warns of it.
+        """
+        # dicts as ordered sets: the visit order fixes which witness is found
+        frontier = {(0,) * self.dimension: None}
+        for depth in range(1, 2 * self.dimension + 3):
+            nxt = {}
+            for pos in frontier:
+                for v, _ in self.dist.steps:
+                    q = tuple(a + b for a, b in zip(pos, v))
+                    if q in nxt or not self.cone.contains(q):
+                        continue
+                    nxt[q] = None
+                    if self.cone.strictly_contains(q):
+                        return ReachabilityWitness(length=depth, target=q)
+            frontier = nxt
+            if not frontier:
+                break
+        return None
 
     @property
     def can_reach_interior(self) -> bool:
@@ -313,52 +376,16 @@ class WalkModel:
         }
 
 
-def _find_interior_witness(dist: StepDistribution, cone: ConeSpec) -> ReachabilityWitness | None:
-    """BFS over confined states from 0, looking for an interior point.
-
-    Depth is capped at 2d + 2; absence of a witness is generically a sign of a
-    degenerate model, so callers treat it as a warning.
-    """
-    d = dist.dimension
-    max_depth = 2 * d + 2
-    origin = (0,) * d
-    frontier: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {origin: ()}
-    for depth in range(1, max_depth + 1):
-        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        for pos, path in frontier.items():
-            for v, _ in dist.steps:
-                q = tuple(a + b for a, b in zip(pos, v))
-                if not cone.contains(q) or q in nxt:
-                    continue
-                nxt[q] = path + (v,)
-                if cone.strictly_contains(q):
-                    return ReachabilityWitness(length=depth, path=nxt[q], target=q)
-        frontier = nxt
-        if not frontier:
-            break
-    return None
-
-
-def _integers(values, what: str, error=MalformedFile) -> tuple[int, ...]:
-    """The entries of ``values`` as ints.  Only Python and numpy integers
-    pass: int() would truncate a float, parse a string and read a bool."""
-    if not isinstance(values, (list, tuple, np.ndarray)) or not all(
-            isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in values):
-        raise error(f"{what} must be integers, got {values!r}")
-    return tuple(map(int, values))
-
-
 def build_model(dist: StepDistribution, cone: ConeSpec, start) -> WalkModel:
-    start = _integers(start, "start")
-    witness = _find_interior_witness(dist, cone)
-    if witness is None:
+    model = WalkModel(dist=dist, cone=cone, start=start)
+    if model.interior_witness is None:
         warnings.warn(
             "no confined path into the cone interior found (searched depth "
             f"{2 * dist.dimension + 2})",
             UserWarning,
             stacklevel=2,
         )
-    return WalkModel(dist=dist, cone=cone, start=start, interior_witness=witness)
+    return model
 
 
 def _parse_rational(s) -> Fraction:
@@ -384,8 +411,6 @@ def parse_model(text: str, normalize: bool = False) -> WalkModel:
     for key in ("dimension", "steps", "cone", "start"):
         if key not in doc:
             raise MalformedFile(f"missing field {key!r}")
-    [d] = _integers([doc["dimension"]], "dimension")
-
     raw_steps = doc["steps"]
     if not isinstance(raw_steps, list) or not raw_steps:
         raise MalformedFile("steps must be a non-empty list")
@@ -393,7 +418,7 @@ def parse_model(text: str, normalize: bool = False) -> WalkModel:
     for entry in raw_steps:
         if not isinstance(entry, dict) or "v" not in entry or "w" not in entry:
             raise MalformedFile(f"bad step entry {entry!r}")
-        steps.append((_integers(entry["v"], "step vector"), _parse_rational(entry["w"])))
+        steps.append((entry["v"], _parse_rational(entry["w"])))
 
     total = sum(w for _, w in steps)
     if total != 1:
@@ -402,22 +427,19 @@ def parse_model(text: str, normalize: bool = False) -> WalkModel:
                 f"weights sum to {total}; pass normalize=True (--normalize) to rescale"
             )
         steps = [(v, w / total) for v, w in steps]
+    dist = StepDistribution(dimension=doc["dimension"], steps=tuple(steps))
 
     cone_doc = doc["cone"]
     if not isinstance(cone_doc, dict) or "type" not in cone_doc:
         raise MalformedFile("cone must be an object with a 'type' field")
     if cone_doc["type"] == "orthant":
-        cone = ConeSpec.orthant(d)
+        cone = ConeSpec.orthant(dist.dimension)
     elif cone_doc["type"] == "halfspaces":
         if "normals" not in cone_doc:
             raise MalformedFile("halfspace cone needs 'normals'")
         cone = ConeSpec.polyhedral(cone_doc["normals"])
-        if cone.dimension != d:
-            raise MalformedFile("cone normals have wrong dimension")
     else:
         raise MalformedFile(f"unknown cone type {cone_doc['type']!r}")
-
-    dist = StepDistribution(dimension=d, steps=tuple(steps))
     return build_model(dist, cone, doc["start"])
 
 

@@ -21,12 +21,9 @@ def _frac(f: Fraction) -> str:
 def assumption_checklist(model: WalkModel, analysis) -> dict:
     """Hypothesis checks the asymptotic theory rests on."""
     checks = {
-        "cone_has_interior": True,  # validated at construction
         "truly_d_dimensional": model.dist.truly_d_dimensional,
         "interior_reachable": model.can_reach_interior,
-        "increments_integrable": True,  # finite support
         "dual_minimum_exists": analysis is not None,
-        "lattice_interior_witness": model.can_reach_interior,
         "global_minimum_exists": analysis is not None and analysis.rho_global is not None,
     }
     if model.interior_witness is not None:

@@ -123,6 +123,9 @@ class TestAnalyze:
         hi = doc["bounds"]["best"]["hiFloat"]
         assert lo <= hi and hi - lo < 0.01
         assert doc["assumptions"]["truly_d_dimensional"] is True
+        assert sorted(doc["assumptions"]) == [
+            "dual_minimum_exists", "global_minimum_exists", "interior_reachable",
+            "interior_witness", "truly_d_dimensional"]
 
     def test_exterior_drift_tagged(self, neg_1d_path):
         doc, code = run_report(["analyze", "--model", neg_1d_path,
@@ -350,6 +353,15 @@ class TestErrorsAndExitCodes:
         path.write_text("{broken")
         doc, code = run_report(["analyze", "--model", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("entry", ['"nan"', "1e999", '"x"'])
+    def test_non_numeric_or_infinite_normal(self, tmp_path, entry):
+        doc = dict(FIVE_STEP, cone={"type": "halfspaces", "normals": [["BAD", 0], [0, 1]]})
+        path = tmp_path / "normals.json"
+        path.write_text(json.dumps(doc).replace('"BAD"', entry))
+        doc, code = run_report(["analyze", "--model", str(path)])
+        assert code == 2
+        assert doc["error"].startswith("MalformedFile: normal must be finite numbers")
 
     def test_memory_budget_exit_code(self, five_step_path, monkeypatch):
         monkeypatch.setenv("CONEWALK_MEM_BUDGET", "10000")

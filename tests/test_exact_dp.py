@@ -11,7 +11,6 @@ from conewalk import (
     ConeSpec,
     StepDistribution,
     analyze,
-    boundary_exit_g,
     brute_force_excursion,
     brute_force_survival,
     build_model,
@@ -352,27 +351,33 @@ class TestTiltedFunctional:
 
 
 class TestBoundaryExitG:
+    """g(start), the first term of the bounds' g-functional."""
+
+    @staticmethod
+    def g(model, y):
+        return escape_probability_bounds(replace(model, start=y), 0).g_sequence.terms[0]
+
     def test_five_step_values(self, five_step_model):
-        assert boundary_exit_g(five_step_model, (0, 0)) == F(1)
-        assert boundary_exit_g(five_step_model, (2, 0)) == F(5, 8)
+        assert self.g(five_step_model, (0, 0)) == F(1)
+        assert self.g(five_step_model, (2, 0)) == F(5, 8)
 
     def test_1d_ratio_power(self, pos_1d):
-        assert boundary_exit_g(pos_1d, (0,)) == F(1, 3)
-        assert boundary_exit_g(pos_1d, (3,)) == F(1, 3) ** 4
+        assert self.g(pos_1d, (0,)) == F(1, 3)
+        assert self.g(pos_1d, (3,)) == F(1, 3) ** 4
 
     def test_needs_small_steps(self):
         dist = StepDistribution(1, (((2,), F(3, 4)), ((-1,), F(1, 4))))
         model = build_model(dist, ConeSpec.orthant(1), (0,))
         with pytest.raises(NotSmallStep):
-            boundary_exit_g(model, (0,))
+            escape_probability_bounds(model, 0)
 
     def test_needs_interior_drift(self, sym_1d):
         with pytest.raises(DriftNotInterior):
-            boundary_exit_g(sym_1d, (0,))
+            escape_probability_bounds(sym_1d, 0)
 
     def test_trapped_has_no_exit(self, trapped_2d):
         with pytest.raises(Trapped):
-            boundary_exit_g(trapped_2d, (0, 0))
+            escape_probability_bounds(trapped_2d, 0)
 
 
 class TestEscapeBounds:
@@ -415,10 +420,12 @@ class TestEscapeBounds:
                       mod_2, mod_3):
             bounds = escape_probability_bounds(model, 12)
             layers = list(survival_layers(model, 12))
+            gammas = exact_dp._gammas(model)
             for k, g_k in enumerate(bounds.g_sequence.terms):
                 direct = sum(
-                    (mass * boundary_exit_g(model, pos)
-                     for pos, mass in layers[k].masses.items()),
+                    (mass * g ** (pos[i] + 1)
+                     for pos, mass in layers[k].masses.items()
+                     for i, g in gammas.items()),
                     F(0),
                 )
                 assert g_k == direct

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import conewalk
 from conewalk import (
     ConeSpec,
     StepDistribution,
@@ -147,9 +149,39 @@ class TestParsing:
     def test_library_start_must_be_integers(self, five_step_model):
         with pytest.raises(MalformedFile, match="start must be integers"):
             build_model(five_step_model.dist, five_step_model.cone, (0.9, 0))
+        with pytest.raises(MalformedFile, match="start must be integers"):
+            replace(five_step_model, start=(0.5, 0))
         start = build_model(five_step_model.dist, five_step_model.cone,
                             np.array([1, 2])).start
         assert start == (1, 2) and all(type(c) is int for c in start)
+
+    @pytest.mark.parametrize("dimension", ["2", 2.5, True, 0])
+    def test_library_cone_dimension(self, dimension):
+        with pytest.raises(MalformedFile, match="dimension must be"):
+            ConeSpec.orthant(dimension)
+
+    @pytest.mark.parametrize("v", [(1.5,), (True,)])
+    def test_library_step_vector_must_be_integers(self, v):
+        with pytest.raises(MalformedFile, match="step vector must be integers"):
+            StepDistribution(1, ((v, F(1, 2)), ((-1,), F(1, 2))))
+
+    @pytest.mark.parametrize("w", [0.5, "1/2", True])
+    def test_library_weight_must_be_rational(self, w):
+        with pytest.raises(MalformedFile, match="must be a Fraction or integer"):
+            StepDistribution(1, (((1,), w), ((-1,), F(1, 2))))
+
+    @pytest.mark.parametrize("c", ["1", True, float("nan"), float("inf"), -float("inf"),
+                                   10 ** 400])
+    def test_normal_must_be_finite_numbers(self, c):
+        with pytest.raises(MalformedFile, match="normal must be finite numbers"):
+            ConeSpec.polyhedral([[c, 0], [0, 1]])
+
+    @pytest.mark.parametrize("normals, match", [
+        ("ab", "needs a list of normals"), ({"a": [1, 0]}, "needs a list of normals"),
+        ([5, 6], "normal must be finite")])
+    def test_normals_must_be_a_list_of_lists(self, normals, match):
+        with pytest.raises(MalformedFile, match=match):
+            ConeSpec.polyhedral(normals)
 
     def test_weight_is_not_a_bool(self):
         steps = [{"v": [1], "w": True}, {"v": [-1], "w": 0}]
@@ -293,3 +325,23 @@ class TestFeasible:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "False"]
+
+
+def test_public_surface_is_pinned():
+    """Every name ``from conewalk import *`` exports; adding one is a
+    deliberate change to this list."""
+    assert sorted(conewalk.__all__) == [
+        "ConeSpec", "ConewalkError", "DriftClass", "EscapeBounds", "ExactSequence",
+        "LaplaceAnalysis", "McEstimate", "NoRecurrenceUpTo", "OneDimModel",
+        "RecurrenceModel", "SequenceVerdict", "StateLayer", "StepDistribution",
+        "WalkModel", "analyze", "asymptotic_reference", "brute_force_excursion",
+        "brute_force_survival", "build_model", "classify_drift",
+        "closed_form_coefficients", "errors", "escape_prob_1d",
+        "escape_probability_bounds", "estimate_rho", "exact_dp",
+        "excursion_exponent_fit", "excursion_sequence", "guess_recurrence", "laplace",
+        "laplace_eval", "load_model", "mc", "minimize_global", "minimize_over_dual",
+        "model", "oned", "parse_model", "seqlab", "sequence_verdict",
+        "simulate_survival", "simulate_tilted", "subexponential_profile",
+        "survival_layers", "survival_sequence", "tilt_distribution",
+        "tilted_survival_functional",
+    ]
