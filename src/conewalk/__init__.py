@@ -53,5 +53,18 @@ from .seqlab import (
     subexponential_profile,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConeSpec", "ConewalkError", "DriftClass", "EscapeBounds", "ExactSequence",
+    "LaplaceAnalysis", "McEstimate", "NoRecurrenceUpTo", "OneDimModel",
+    "RecurrenceModel", "SequenceVerdict", "StateLayer", "StepDistribution",
+    "WalkModel", "analyze", "asymptotic_reference", "brute_force_excursion",
+    "brute_force_survival", "build_model", "classify_drift",
+    "closed_form_coefficients", "escape_prob_1d", "escape_probability_bounds",
+    "estimate_rho", "excursion_exponent_fit", "excursion_sequence",
+    "guess_recurrence", "laplace_eval", "load_model", "minimize_global",
+    "minimize_over_dual", "parse_model", "sequence_verdict",
+    "simulate_survival", "simulate_tilted", "subexponential_profile",
+    "survival_layers", "survival_sequence", "tilt_distribution",
+    "tilted_survival_functional",
+]
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 resource-budget error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -60,6 +61,15 @@ def _survival_verdict(seq, analysis, bounds, kmax):
     kmax = min(kmax, (len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2)
     return seqlab.sequence_verdict(seq.terms, kmax, rho=rho,
                                    a_inf=bounds.a_inf if bounds is not None else None)
+
+
+def _tilt_is_plain(model, analysis) -> bool:
+    """True iff the tilted estimate gets exactly the plain one's inputs
+    (t0 = 0, rho = 1 and the model's own float step weights), so that it is
+    the same deterministic computation."""
+    return (all(c == 0.0 for c in analysis.t0) and analysis.rho == 1.0
+            and [(v, float(w)) for v, w in analysis.tilted_steps]
+            == [(v, float(w)) for v, w in model.dist.steps])
 
 
 def run_report(argv) -> tuple[dict, int]:
@@ -133,8 +143,10 @@ def run_report(argv) -> tuple[dict, int]:
             estimates = [mc.simulate_survival(
                 model, horizon, args.samples, args.seed)]
             if analysis is not None:
-                estimates.append(mc.simulate_tilted(
-                    model, analysis, horizon, args.samples, args.seed))
+                estimates.append(
+                    dataclasses.replace(estimates[0], method="tilted")
+                    if _tilt_is_plain(model, analysis)
+                    else mc.simulate_tilted(model, analysis, horizon, args.samples, args.seed))
             doc["mc"] = [report.mc_block(e) for e in estimates]
         elif command == "simulate":
             raise ConewalkError("simulate needs --samples > 0")

@@ -19,10 +19,15 @@ Walker pool: each worker takes a contiguous chunk of streams and steps them
 together, so one numpy pass serves many small streams.  Streams enter the
 pool in stream order while its live walkers plus the next stream's count
 stay within twice the largest stream count; the cap keeps memory near that
-of one stream at a time.  A pool step fills one uniform buffer stream by
-stream, then moves, tests and compacts all walkers at once.  A stream
-leaves the pool after n steps (the oldest streams, at the front) or as soon
-as its last walker has left the cone, which can be before an older stream.
+of one stream at a time.  The pool stores its live walkers coordinate-major,
+one (d, N) array with one contiguous row per coordinate, so each pass runs
+along rows of length N instead of across rows of length d.  A pool step
+fills one uniform buffer stream by stream, then moves all walkers by
+gathering columns of the (d, S) step matrix, tests them against the cone
+and compacts the columns of those still inside.  A stream leaves the pool
+after n steps (the oldest streams, at the front) or as soon as its last
+walker has left the cone, which can be before an older stream; its end
+positions are handed out as (count, d) rows.
 """
 
 from __future__ import annotations
@@ -99,23 +104,23 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
     end positions and the mask of paths that stayed in the cone for all n
     steps.  Only live walkers are stepped; the end-position rows of the
     others are 0."""
-    steps = np.asarray([v for v, _ in weighted_steps], dtype=np.int64)
+    moves = np.asarray([v for v, _ in weighted_steps], dtype=np.int64).T  # (d, S)
     pick = _step_sampler([float(w) for _, w in weighted_steps])
-    start = np.asarray(model.start, dtype=np.int64)
+    start = np.asarray(model.start, dtype=np.int64)[:, None]
     inside = model.cone.inside
 
     def walk(jobs):
         cap = 2 * max(c for _, c in jobs)
         out = [None] * len(jobs)
         pool = []  # [job, rng, live walkers, steps taken], oldest first
-        pos = np.empty((0, len(start)), dtype=np.int64)  # live walkers, pool order
+        pos = np.empty((len(start), 0), dtype=np.int64)  # live walkers, (d, N) in pool order
         idx = np.empty(0, dtype=np.int64)               # their index in their stream
         queued = 0
         while True:
             while queued < len(jobs) and len(idx) + jobs[queued][1] <= cap:
                 count = jobs[queued][1]
                 pool.append([queued, _stream_rng(seed, jobs[queued][0]), count, 0])
-                pos = np.concatenate([pos, np.tile(start, (count, 1))])
+                pos = np.concatenate([pos, np.repeat(start, count, axis=1)], axis=1)
                 idx = np.concatenate([idx, np.arange(count)])
                 queued += 1
             if not pool:
@@ -129,12 +134,12 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
                         count = jobs[job][1]
                         end = np.zeros((count, len(start)), dtype=np.int64)
                         alive = np.zeros(count, dtype=bool)
-                        end[idx[a:a + k]] = pos[a:a + k]
+                        end[idx[a:a + k]] = pos[:, a:a + k].T
                         alive[idx[a:a + k]] = True
                         out[job] = end, alive
                         front = a + k if t == n else front
                     a += k
-                pos, idx = pos[front:], idx[front:]
+                pos, idx = pos[:, front:], idx[front:]
                 pool = [p for p in pool if p[3] < n and p[2]]
                 continue
             u = np.empty(len(idx))
@@ -143,13 +148,13 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
                 p[1].random(out=u[a:a + p[2]])
                 a += p[2]
                 p[3] += 1
-            pos += steps[pick(u)]
-            stay = inside(pos)
+            pos += np.take(moves, pick(u), axis=1)
+            stay = inside(pos.T)
             if not stay.all():
                 kept = np.cumsum(stay)[np.cumsum([p[2] for p in pool]) - 1].tolist()
                 for p, before, upto in zip(pool, [0] + kept, kept):
                     p[2] = upto - before
-                pos, idx = pos[stay], idx[stay]
+                pos, idx = np.compress(stay, pos, axis=1), idx[stay]
 
     return walk
 

@@ -266,11 +266,16 @@ class ConeSpec:
 
     def inside(self, points) -> np.ndarray:
         """Mask of the rows of the (m, d) lattice points that lie in the cone.
+        The points may be the transposed view of a coordinate-major (d, m)
+        array; every pass then runs along its rows of length m.
 
-        Against an integer normal the test <a, x> >= 0 is exact; against any
-        other normal it is <a, x> >= -tol with tol = 1e-12 |a| (|x| + 1).
+        The orthant test x >= 0 and the test <a, x> >= 0 against an integer
+        normal are exact; against any other normal it is <a, x> >= -tol with
+        tol = 1e-12 |a| (|x| + 1).
         """
         x = np.asarray(points)
+        if self.is_orthant:
+            return (x >= 0).all(axis=1)
         prods = self.halfspace_normals @ x.T  # one row per normal: reduces fast
         if self._slack is None:
             return (prods >= 0).all(axis=0)

@@ -12,6 +12,7 @@ from conewalk import (
     excursion_sequence,
     laplace,
     load_model,
+    mc,
     report,
     survival_sequence,
 )
@@ -209,6 +210,34 @@ class TestSimulate:
     def test_needs_samples(self, neg_1d_path):
         doc, code = run_report(["simulate", "--model", neg_1d_path])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_zero_tilt_runs_one_estimate(self, monkeypatch, five_step_path,
+                                         exterior_path, command):
+        # five-step has interior drift, so its tilt is t0 = 0, rho = 1 under
+        # its own weights and the tilted estimate is the plain one
+        model = load_model(five_step_path)
+        an = laplace.analyze(model.dist, model.cone)
+        want = [report.mc_block(mc.simulate_survival(model, 30, 2000, 8)),
+                report.mc_block(mc.simulate_tilted(model, an, 30, 2000, 8))]
+        calls = []
+        real = mc._estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_estimate", counting)
+        argv = [command, "--horizon", "30", "--samples", "2000", "--seed", "8"]
+        doc, code = run_report(argv + ["--model", five_step_path])
+        assert code == 0
+        assert calls == ["plain"]
+        assert json.dumps(doc["mc"], sort_keys=True) == json.dumps(want, sort_keys=True)
+        calls.clear()
+        doc, code = run_report(argv + ["--model", exterior_path])
+        assert code == 0
+        assert calls == ["plain", "tilted"]
+        assert [b["method"] for b in doc["mc"]] == ["plain", "tilted"]
 
 
 class TestDpPasses:

@@ -289,6 +289,17 @@ def float_halfspace_2d():
     return _exterior_in([[0.3, 0.1], [1.0, 0.0]], (1, 0))
 
 
+@pytest.fixture(scope="module")
+def wedge_3d():
+    """Unit steps with drift (-1/9, -1/9, -1/9) in the integer-normal cone
+    {x >= 0, y >= 0, x + y - z >= 0}, started inside at (1, 1, 0)."""
+    steps = [(tuple(s if j == i else 0 for j in range(3)), w)
+             for i in range(3) for s, w in ((1, F(1, 9)), (-1, F(2, 9)))]
+    dist = StepDistribution(3, tuple(steps))
+    return build_model(dist, ConeSpec.polyhedral([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
+                       (1, 1, 0))
+
+
 class TestCompactedWalker:
     """The pooled live-walker loop of ``mc._walker`` against the uncompacted,
     mask-based loop that runs one stream at a time under the same stream
@@ -302,6 +313,7 @@ class TestCompactedWalker:
         ("trapped_2d", 25, 500),
         ("octant_3d", 30, 3001),
         ("exterior_2d", 200, 2000),  # every walker dies before step n
+        ("wedge_3d", 30, 3001),
     ]
 
     @pytest.mark.parametrize("name,n,samples", CASES)
@@ -444,7 +456,7 @@ class TestCompactedWalker:
             assert len(rows) < sum(map(len, draws.values()))
 
     @pytest.mark.parametrize("name", ["pos_1d", "five_step_model", "octant_3d",
-                                      "wedge_2d", "float_halfspace_2d"])
+                                      "wedge_2d", "float_halfspace_2d", "wedge_3d"])
     def test_inside_matches_reference_mask(self, request, name):
         model = request.getfixturevalue(name)
         d = model.dimension
@@ -457,6 +469,10 @@ class TestCompactedWalker:
         assert (mask == _reference_mask(model, pos)).all()
         assert mask.tolist() == [model.cone.contains(tuple(p)) for p in pos.tolist()]
         assert 0 < mask.sum() < len(pos)
+        # the walker pool passes its coordinate-major (d, N) array transposed
+        coordinate_major = np.ascontiguousarray(pos.T).T
+        assert not coordinate_major.flags.c_contiguous or d == 1
+        assert (model.cone.inside(coordinate_major) == mask).all()
 
     @pytest.mark.parametrize("name,n,samples", CASES)
     def test_estimates_match_reference(self, request, monkeypatch, name, n, samples):

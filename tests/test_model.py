@@ -336,11 +336,10 @@ def test_public_surface_is_pinned():
         "RecurrenceModel", "SequenceVerdict", "StateLayer", "StepDistribution",
         "WalkModel", "analyze", "asymptotic_reference", "brute_force_excursion",
         "brute_force_survival", "build_model", "classify_drift",
-        "closed_form_coefficients", "errors", "escape_prob_1d",
-        "escape_probability_bounds", "estimate_rho", "exact_dp",
-        "excursion_exponent_fit", "excursion_sequence", "guess_recurrence", "laplace",
-        "laplace_eval", "load_model", "mc", "minimize_global", "minimize_over_dual",
-        "model", "oned", "parse_model", "seqlab", "sequence_verdict",
+        "closed_form_coefficients", "escape_prob_1d", "escape_probability_bounds",
+        "estimate_rho", "excursion_exponent_fit", "excursion_sequence",
+        "guess_recurrence", "laplace_eval", "load_model", "minimize_global",
+        "minimize_over_dual", "parse_model", "sequence_verdict",
         "simulate_survival", "simulate_tilted", "subexponential_profile",
         "survival_layers", "survival_sequence", "tilt_distribution",
         "tilted_survival_functional",
