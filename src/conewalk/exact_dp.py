@@ -137,7 +137,8 @@ def _dp_bytes(model: WalkModel, n: int) -> float:
     walk reaches in n steps: they all point at the cached int 0.
     """
     m = _modulus(model)
-    box = [x + n * _step_bound(model) + 1 for x in model.start]
+    grow = _grow(model.dist.steps, model.dimension)  # the box as _layers builds it
+    box = [x + n * g + 1 for x, g in zip(model.start, grow)]
     stored = m ** (model.dimension - 1) * math.prod(-(-s // m) for s in box)
     reach = n * max(0, *(sum(v) for v, _ in model.dist.steps))
     zeros = stored - stored * _below_hyperplane(box, model.start, reach) / math.prod(box)

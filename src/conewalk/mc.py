@@ -18,16 +18,17 @@ how many workers run the streams.
 Walker pool: each worker takes a contiguous chunk of streams and steps them
 together, so one numpy pass serves many small streams.  Streams enter the
 pool in stream order while its live walkers plus the next stream's count
-stay within twice the largest stream count; the cap keeps memory near that
-of one stream at a time.  The pool stores its live walkers coordinate-major,
-one (d, N) array with one contiguous row per coordinate, so each pass runs
-along rows of length N instead of across rows of length d.  A pool step
-fills one uniform buffer stream by stream, then moves all walkers by
-gathering columns of the (d, S) step matrix, tests them against the cone
-and compacts the columns of those still inside.  A stream leaves the pool
-after n steps (the oldest streams, at the front) or as soon as its last
-walker has left the cone, which can be before an older stream; its end
-positions are handed out as (count, d) rows.
+stay within twice the largest stream count.  The pool stores its live
+walkers coordinate-major, one (d, N) array with one contiguous row per
+coordinate, so each pass runs along rows of length N instead of across rows
+of length d.  A pool step fills one uniform buffer stream by stream, then
+moves all walkers by gathering columns of the (d, S) step matrix, tests
+them against the cone and compacts the columns of those still inside.  A
+stream leaves the pool after n steps (the oldest streams, at the front) or
+as soon as its last walker has left the cone, which can be before an older
+stream.  It is reduced as it leaves: the end positions of its survivors go
+to the estimator as (count, d) rows and only the sums are kept, so a worker
+holds its pool plus one retiring stream.
 """
 
 from __future__ import annotations
@@ -59,10 +60,18 @@ class McEstimate:
 def _step_sampler(weights):
     """Inverse-CDF sampler: maps uniforms u in [0, 1) to step indices, step j
     for edges[j-1] <= u < edges[j] with edges the normalised cumulative
-    weights."""
+    weights.  The index is the number of edges <= u, summed one edge at a
+    time: for the few steps of a walk this beats a binary search."""
     w = np.asarray(weights, dtype=float)
-    edges = np.cumsum(w)[:-1] / w.sum()
-    return lambda u: np.searchsorted(edges, u, side="right")
+    edges = (np.cumsum(w)[:-1] / w.sum()).tolist()
+
+    def pick(u):
+        k = np.zeros(len(u), dtype=np.intp)
+        for e in edges:
+            k += u >= e
+        return k
+
+    return pick
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -84,26 +93,22 @@ def _chunks(jobs, workers: int):
     return [jobs[end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))]
 
 
-def _run_streams(walk, reduce, samples: int, workers: int):
+def _run_streams(walk, samples: int, workers: int):
     """Run the non-empty streams, each worker one contiguous chunk through
-    ``walk``, and return ``reduce(end, alive)`` per stream in stream order."""
+    ``walk``, and return its per-stream results in stream order."""
     jobs = [(s, c) for s, c in enumerate(_stream_counts(samples)) if c > 0]
-
-    def run(chunk):
-        return [reduce(end, alive) for end, alive in walk(chunk)]
-
     chunks = _chunks(jobs, max(workers, 1))
     if len(chunks) == 1:
-        return run(chunks[0])
+        return walk(chunks[0])
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return [r for part in pool.map(run, chunks) for r in part]
+        return [r for part in pool.map(walk, chunks) for r in part]
 
 
-def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
-    """Walker loop: [(stream, count)] -> per stream, in the given order, the
-    end positions and the mask of paths that stayed in the cone for all n
-    steps.  Only live walkers are stepped; the end-position rows of the
-    others are 0."""
+def _walker(model: WalkModel, weighted_steps, n: int, seed: int, reduce):
+    """Walker loop: [(stream, count)] -> per stream, in the given order,
+    ``reduce(end)``, with ``end`` the (k, d) end positions, in walker order,
+    of the stream's k paths that stayed in the cone for all n steps.
+    ``reduce`` runs as the stream retires from the pool."""
     moves = np.asarray([v for v, _ in weighted_steps], dtype=np.int64).T  # (d, S)
     pick = _step_sampler([float(w) for _, w in weighted_steps])
     start = np.asarray(model.start, dtype=np.int64)[:, None]
@@ -114,35 +119,28 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
         out = [None] * len(jobs)
         pool = []  # [job, rng, live walkers, steps taken], oldest first
         pos = np.empty((len(start), 0), dtype=np.int64)  # live walkers, (d, N) in pool order
-        idx = np.empty(0, dtype=np.int64)               # their index in their stream
         queued = 0
         while True:
-            while queued < len(jobs) and len(idx) + jobs[queued][1] <= cap:
+            while queued < len(jobs) and pos.shape[1] + jobs[queued][1] <= cap:
                 count = jobs[queued][1]
                 pool.append([queued, _stream_rng(seed, jobs[queued][0]), count, 0])
                 pos = np.concatenate([pos, np.repeat(start, count, axis=1)], axis=1)
-                idx = np.concatenate([idx, np.arange(count)])
                 queued += 1
             if not pool:
                 return out
             # Streams that took n steps are the oldest, so their walkers lead
-            # the pool; a stream with no walkers left holds no rows.
+            # the pool; a stream with no walkers left holds no columns.
             if any(t == n or not k for _, _, k, t in pool):
                 a, front = 0, 0
                 for job, _, k, t in pool:
                     if t == n or not k:
-                        count = jobs[job][1]
-                        end = np.zeros((count, len(start)), dtype=np.int64)
-                        alive = np.zeros(count, dtype=bool)
-                        end[idx[a:a + k]] = pos[:, a:a + k].T
-                        alive[idx[a:a + k]] = True
-                        out[job] = end, alive
+                        out[job] = reduce(np.ascontiguousarray(pos[:, a:a + k].T))
                         front = a + k if t == n else front
                     a += k
-                pos, idx = pos[:, front:], idx[front:]
+                pos = pos[:, front:]
                 pool = [p for p in pool if p[3] < n and p[2]]
                 continue
-            u = np.empty(len(idx))
+            u = np.empty(pos.shape[1])
             a = 0
             for p in pool:
                 p[1].random(out=u[a:a + p[2]])
@@ -154,7 +152,7 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int):
                 kept = np.cumsum(stay)[np.cumsum([p[2] for p in pool]) - 1].tolist()
                 for p, before, upto in zip(pool, [0] + kept, kept):
                     p[2] = upto - before
-                pos, idx = np.compress(stay, pos, axis=1), idx[stay]
+                pos = np.compress(stay, pos, axis=1)
 
     return walk
 
@@ -166,14 +164,13 @@ def _estimate(model: WalkModel, weighted_steps, t0, rho: float, n: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     t0 = np.asarray(t0, dtype=float)
-    walk = _walker(model, weighted_steps, n, seed)
     prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 
-    def moments(pos, alive):
-        vals = np.where(alive, np.exp(-(pos @ t0)), 0.0) * prefactor
+    def moments(end):
+        vals = np.exp(-(end @ t0)) * prefactor
         return float(vals.sum()), float((vals ** 2).sum())
 
-    parts = _run_streams(walk, moments, samples, workers)
+    parts = _run_streams(_walker(model, weighted_steps, n, seed, moments), samples, workers)
     total, total_sq = map(math.fsum, zip(*parts))
     mean = total / samples
     var = max(total_sq / samples - mean ** 2, 0.0)

@@ -486,13 +486,21 @@ class TestMemoryBudget:
     def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d,
                                            octant_3d):
         # the exterior's integer weights 1, 1, 2, 2 keep a scaled layer alive
-        # through a step; the exterior and the octant store half the box
+        # through a step; the exterior and the octant store half the box.
+        # The last two walks have long negative steps: the box grows only by
+        # the largest positive coordinate of a step.
+        long_back = walk({(1, 0): F(1, 3), (0, 1): F(1, 3),
+                          (-3, 0): F(1, 6), (0, -3): F(1, 6)}, (0, 0))
+        diagonal_back = walk({(1, 0): F(3, 8), (0, 1): F(3, 8), (-5, -5): F(1, 4)}, (0, 0))
         survival_sequence(five_step_model, 2)
         for model, n, passes in (
                 (five_step_model, 60, (survival_sequence, escape_probability_bounds)),
                 (exterior_2d, 60, (survival_sequence,)),
                 (exterior_2d, 250, (survival_sequence,)),
-                (octant_3d, 40, (survival_sequence,))):
+                (octant_3d, 40, (survival_sequence,)),
+                (long_back, 60, (survival_sequence,)),
+                (long_back, 200, (survival_sequence,)),
+                (diagonal_back, 60, (survival_sequence,))):
             tracemalloc.start()
             try:
                 for run in passes:

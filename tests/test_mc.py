@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -256,11 +258,19 @@ def _record_draws(monkeypatch, order=None):
     return draws
 
 
-def _reference_jobs(model, weighted_steps, n, seed):
+def _reference_jobs(model, weighted_steps, n, seed, reduce):
     """``_reference_walk`` behind the pooled walker's interface: one stream
-    at a time, results in job order."""
+    at a time, ``reduce`` of its survivors' end positions in job order."""
     walk = _reference_walk(model, weighted_steps, n, seed)
-    return lambda jobs: [walk(stream, count) for stream, count in jobs]
+
+    def jobs_walk(jobs):
+        return [reduce(pos[alive]) for pos, alive in itertools.starmap(walk, jobs)]
+
+    return jobs_walk
+
+
+def _keep(end):
+    return end
 
 
 def _jobs(samples):
@@ -323,16 +333,15 @@ class TestCompactedWalker:
         survivors = []
         for weighted in (model.dist.steps, an.tilted_steps):
             jobs = _jobs(samples)
-            got = mc._walker(model, weighted, n, seed=3)(jobs)
-            want = _reference_jobs(model, weighted, n, seed=3)(jobs)
+            got = mc._walker(model, weighted, n, 3, _keep)(jobs)
+            want = _reference_jobs(model, weighted, n, 3, _keep)(jobs)
             assert len(got) == len(want) == len(jobs)
             hits = 0
-            for (_stream, count), (pos, alive), (ref_pos, ref_alive) in zip(jobs, got, want):
-                assert pos.shape == (count, model.dimension) and alive.shape == (count,)
-                assert (alive == ref_alive).all()
-                assert (pos[alive] == ref_pos[ref_alive]).all()
-                assert not pos[~alive].any()
-                hits += int(ref_alive.sum())
+            for (_stream, count), end, ref_end in zip(jobs, got, want):
+                assert end.shape == ref_end.shape and len(end) <= count
+                assert end.dtype == np.int64 and end.flags.c_contiguous
+                assert (end == ref_end).all()
+                hits += len(ref_end)
             survivors.append(hits)
         if name == "trapped_2d":
             assert survivors == [samples, samples]
@@ -348,17 +357,17 @@ class TestCompactedWalker:
         for weighted in (model.dist.steps, an.tilted_steps):
             jobs = _jobs(samples)
             draws.clear()
-            results = mc._walker(model, weighted, n, seed=3)(jobs)
+            survivors = mc._walker(model, weighted, n, 3, len)(jobs)
             got = dict(draws)
             draws.clear()
-            _reference_jobs(model, weighted, n, seed=3)(jobs)
+            _reference_jobs(model, weighted, n, 3, len)(jobs)
             assert got.keys() == draws.keys() == {s for s, _ in jobs}
-            for (stream, count), (_pos, alive) in zip(jobs, results):
+            for (stream, count), k in zip(jobs, survivors):
                 sizes, live_counts = got[stream], draws[stream]  # alive.sum() before each step
                 assert sizes == live_counts
                 assert sizes[0] == count and all(s > 0 for s in sizes)
                 if len(sizes) < n:  # stopped early: the last draw fed the last walkers
-                    assert not alive.any()
+                    assert k == 0
                 if n == 200 and weighted is model.dist.steps:
                     assert len(sizes) < n  # exterior: every plain walker dies
 
@@ -371,11 +380,11 @@ class TestCompactedWalker:
         draws = _record_draws(monkeypatch)
         for weighted in (model.dist.steps, an.tilted_steps):
             draws.clear()
-            mc._run_streams(mc._walker(model, weighted, n, seed=3),
-                            lambda _end, alive: None, samples, workers)
+            survivors = mc._run_streams(mc._walker(model, weighted, n, 3, len),
+                                        samples, workers)
             got = {s: list(sizes) for s, sizes in draws.items()}
             draws.clear()
-            _reference_jobs(model, weighted, n, seed=3)(_jobs(samples))
+            assert survivors == _reference_jobs(model, weighted, n, 3, len)(_jobs(samples))
             assert got == draws
 
     def test_horizon_zero_draws_nothing(self, monkeypatch, exterior_2d):
@@ -415,20 +424,27 @@ class TestCompactedWalker:
         order = []
         draws = _record_draws(monkeypatch, order)
         jobs = _jobs(samples)
-        got = mc._walker(exterior_2d, exterior_2d.dist.steps, n, seed=3)(jobs)
+        got = mc._walker(exterior_2d, exterior_2d.dist.steps, n, 3,
+                         lambda end: (len(order), end))(jobs)
         last = {stream: i for i, (stream, _) in enumerate(order)}
         first = {stream: order.index((stream, count)) for stream, count in jobs}
         pairs = [(old, new) for old in last for new in last
                  if old < new and last[new] < last[old]]
         assert pairs
+        # each stream is reduced as it retires, within the pool step of its
+        # last draw, not when the chunk ends
+        reduced = {stream: at for (stream, _), (at, _end) in zip(jobs, got)}
+        assert all(last[s] < reduced[s] <= last[s] + N_STREAMS for s in last)
+        assert all(reduced[new] < reduced[old] for old, new in pairs)
+        got = [end for _at, end in got]
         # the room a retired stream leaves lets the next stream in while the
         # older stream still walks
         assert any(last[new] < first[other] < last[old]
                    for old, new in pairs for other in first if other > new)
         assert all(len(sizes) < n for sizes in draws.values())
-        want = _reference_jobs(exterior_2d, exterior_2d.dist.steps, n, seed=3)(jobs)
-        for (_pos, alive), (_ref_pos, ref_alive) in zip(got, want):
-            assert (alive == ref_alive).all()
+        want = _reference_jobs(exterior_2d, exterior_2d.dist.steps, n, 3, _keep)(jobs)
+        for end, ref_end in zip(got, want):
+            assert end.shape == ref_end.shape and (end == ref_end).all()
 
     @pytest.mark.parametrize("name,n,samples", CASES)
     def test_pool_holds_at_most_twice_the_largest_stream(self, request, monkeypatch,
@@ -448,12 +464,32 @@ class TestCompactedWalker:
         for weighted in (model.dist.steps, an.tilted_steps):
             rows.clear()
             draws.clear()
-            mc._walker(model, weighted, n, seed=3)(_jobs(samples))
+            mc._walker(model, weighted, n, 3, len)(_jobs(samples))
             assert max(rows) <= 2 * largest
             # rows is the pool size per pool step; each stream step is
             # one draw, and the pool runs several streams per step
             assert sum(rows) == sum(map(sum, draws.values()))
             assert len(rows) < sum(map(len, draws.values()))
+
+    def test_memory_is_the_pool_and_one_retiring_stream(self, five_step_model,
+                                                        exterior_2d):
+        # the pool holds at most 2 x the largest stream; a retired stream is
+        # reduced at once, so no (count, d) end array outlives its stream
+        samples = 160_000
+        an = analyze(exterior_2d.dist, exterior_2d.cone)
+        for model, run in ((five_step_model,
+                            lambda: simulate_survival(five_step_model, 120, samples, seed=1)),
+                           (exterior_2d,
+                            lambda: simulate_tilted(exterior_2d, an, 200, samples, seed=1))):
+            stream_bytes = max(_stream_counts(samples)) * model.dimension * 8
+            _stream_rng(0, 0)  # numpy.random is imported on first use, not traced here
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 * stream_bytes
 
     @pytest.mark.parametrize("name", ["pos_1d", "five_step_model", "octant_3d",
                                       "wedge_2d", "float_halfspace_2d", "wedge_3d"])
