@@ -15,11 +15,22 @@ gcd reduction, and group their steps by weight so each weight scales the
 stored classes once; the tilted functional uses ``float64``.
 
 ``_read`` reads survival, the excursion and the escape bounds' g-functional
-off one unpruned pass, and ``survival_pass`` is the one call for all three.
-It carries the survival total and the g-functional from layer to layer by
+off one pass, and ``survival_pass`` is the one call for all three.  It
+carries the survival total and the g-functional from layer to layer by
 subtracting what exits through the boundary slabs of each class: both f = 1
 and g are harmonic for the free walk, so neither sums the layer.  The
 excursion readout is one entry of one class.
+
+So a layer matters only where it can still exit by the horizon n or reach
+the target, and the kernel writes each class only inside a list of disjoint
+keep boxes (``_keep``).  With q_i the largest descent of a step on axis i,
+an entry x of layer k can exit by step n only if x_i < (n - k) q_i on some
+axis: the band, d slabs.  It can reach the target y only if
+x_i <= y_i + (n - k) q_i on every axis: one box, of which ``_read`` keeps the
+corner beyond the band and ``excursion_sequence`` the whole.  Both sets hold
+the predecessors of their entries, so every kept entry is exact and the rest
+stay zero; this halves the entries a 2D pass writes.  ``survival_layers``
+and the tilted functional read whole layers and keep the whole box.
 """
 
 from __future__ import annotations
@@ -108,10 +119,6 @@ def _mem_budget() -> int:
     return int(env) if env else DEFAULT_MEM_BUDGET
 
 
-def _step_bound(model: WalkModel) -> int:
-    return max(abs(c) for v, _ in model.dist.steps for c in v)
-
-
 def _below_hyperplane(box, start, reach: int) -> int:
     """Number of points x of the box prod [0, s) with sum(x - start) <= reach,
     by inclusion-exclusion over the coordinates that overshoot their side."""
@@ -121,40 +128,82 @@ def _below_hyperplane(box, start, reach: int) -> int:
                if top - sum(over) >= 0)
 
 
-def _dp_bytes(model: WalkModel, n: int) -> float:
-    """Predicted peak DP memory at horizon n, in bytes.
+def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
+    """Predicted peak memory of a DP pass to horizon n that keeps the boxes
+    ``keep`` (see ``_keep``; None keeps the whole box), in bytes.
 
-    A layer stores at most m^(d-1) residue classes (the cosets of m Z^d in
-    the step-difference lattice), each about 1/m^d of the box: about volume/m
-    entries.  The last step holds three layers of Python ints: its input, its
-    output and the product ``c * layer`` of one weight; ``+=`` on an object
-    slice also buffers up to ``np.getbufsize()`` sums before writing them
-    back.  The escape bounds keep four Fractions (eight ints) per horizon:
-    a_k, g_k and the two interval ends.  Every entry costs an 8-byte slot.
-    An int costs a header with allocator rounding (about 40 bytes) and 4
-    bytes per 30 bits of a numerator below D^n on top, except in the layer
-    entries past the hyperplane sum(x - start) = n * max_v sum(v), which no
-    walk reaches in n steps: they all point at the cached int 0.
+    Layer k stores each class in the smallest array that holds its boxes: at
+    most m^(d-1) residue classes (the cosets of m Z^d in the step-difference
+    lattice) of the boxes' hull, each about 1/m^d of it.  The step into layer
+    k holds layer k - 1, its product ``c * layer`` with one weight unless
+    every weight is 1, and layer k; ``+=`` on a strided slice buffers up to
+    ``np.getbufsize()`` entries of each of its three operands.  The escape
+    bounds keep four Fractions (eight ints) per horizon: a_k, g_k and the two
+    interval ends.  Every entry costs an 8-byte slot.  An int costs a header
+    with allocator rounding (about 40 bytes) and 4 bytes per 30 bits of a
+    numerator below D^k on top, except in the entries outside the keep boxes
+    or past the hyperplane sum(x - start) = k * max_v sum(v), which no walk
+    reaches in k steps: they all point at the cached int 0.  A float entry
+    is its slot alone.  The float pass is the tilted functional's: it holds a
+    weight per point of the last box, and its readout of layer k holds one
+    class's products and their nonzero mask (9 bytes an entry) and its
+    nonzero products, in an array and as Python floats (40 bytes each).  With
+    no int rounding to cover them, a float step also charges 64 KiB for the
+    interpreter's own objects: index tuples, slices and the free lists that
+    keep them.  The peak is the largest step, the last one when the whole box
+    is kept.
     """
-    m = _modulus(model)
-    grow = _grow(model.dist.steps, model.dimension)  # the box as _layers builds it
-    box = [x + n * g + 1 for x, g in zip(model.start, grow)]
-    stored = m ** (model.dimension - 1) * math.prod(-(-s // m) for s in box)
-    reach = n * max(0, *(sum(v) for v, _ in model.dist.steps))
-    zeros = stored - stored * _below_hyperplane(box, model.start, reach) / math.prod(box)
-    entries = 3 * stored + min(stored, np.getbufsize()) + 8 * (n + 1)
-    bits = n * max(math.log2(model.dist.common_denominator), 1.0)
-    return 8 * entries + (entries - 3 * zeros) * (40 + bits / 7.5)
+    m, d, start = _modulus(model), model.dimension, model.start
+    classes = m ** (d - 1)
+    reach = max(0, *(sum(v) for v, _ in model.dist.steps))
+    bits = max(math.log2(model.dist.common_denominator), 1.0)
+    steps, _den = model.dist.integer_weights()
+    held = 2 if dtype is not object or any(c != 1 for _, c in steps) else 1
+    weight = 0 if dtype is object else math.prod(_box(model, n))
+
+    def entries(k: int):
+        """The stored and the live entries of layer k."""
+        if k == 0:
+            return 1, 1
+        boxes = _boxes(model, n, k, keep)
+        hull = [max((box[i][1] for box in boxes), default=0) for i in range(d)]
+        stored = classes * math.prod(-(-s // m) for s in hull)
+        below = sum(_below_hyperplane([hi - lo for lo, hi in box],
+                                      [x - lo for x, (lo, _) in zip(start, box)], k * reach)
+                    for box in boxes)
+        return stored, stored * below / math.prod(hull) if stored else 0
+
+    peak, before = 0.0, None
+    # every layer of the whole box holds more than the one before
+    for k in range(1 if keep is not None else max(n, 1), n + 1):
+        (stored_before, live_before), (stored, live) = before or entries(k - 1), entries(k)
+        buffered = 3 * min(stored, np.getbufsize())
+        if dtype is object:
+            terms = 8 * (n + 1)
+            ints = held * live_before + live + terms
+            step = (8 * (held * stored_before + stored + buffered + terms)
+                    + ints * (40 + k * bits / 7.5))
+        else:
+            step = 8 * (weight + stored) + max(8 * (held * stored_before + buffered),
+                                               (9 * stored + 40 * live) / classes) + 2 ** 16
+        peak, before = max(peak, step), (stored, live)
+    return peak
 
 
-def _budget_states(model: WalkModel, n: int) -> None:
-    need = _dp_bytes(model, n)
+def _budget_states(model: WalkModel, n: int, keep=None, dtype=object) -> None:
+    """Raise MemoryBudgetExceeded, with the largest horizon that fits, when
+    the pass would not fit the budget.  Keeping the whole box costs the most
+    and is charged in one step, so only a horizon whose whole box would not
+    fit pays for the layer-by-layer peak of its keep boxes."""
     budget = _mem_budget()
+    if _dp_bytes(model, n, None, dtype) <= budget:
+        return
+    need = _dp_bytes(model, n, keep, dtype)
     if need > budget:
         lo, hi = 0, n
         while lo < hi:  # largest horizon that fits
             mid = (lo + hi + 1) // 2
-            if _dp_bytes(model, mid) <= budget:
+            if _dp_bytes(model, mid, keep, dtype) <= budget:
                 lo = mid
             else:
                 hi = mid - 1
@@ -183,6 +232,53 @@ def _grow(steps, dimension: int) -> list[int]:
     return [max(0, *(v[i] for v, _ in steps)) for i in range(dimension)]
 
 
+def _descent(steps, dimension: int) -> list[int]:
+    """The largest descent of a step in each coordinate, max(0, max_v -v_i)."""
+    return [max(0, *(-v[i] for v, _ in steps)) for i in range(dimension)]
+
+
+def _keep(model: WalkModel, target=None, band: bool = True):
+    """The keep boxes of a pass that needs layer k only where it can still
+    exit by step n (``band``) or reach ``target`` at a step up to n: a
+    function of (n, k) that returns disjoint boxes, [lo, hi) per axis with hi
+    None for unbounded, outside which layer k holds nothing a readout needs.
+
+    With q_i the largest descent of a step on axis i and R_i = (n - k) q_i,
+    an entry x can exit by step n only if x_i < R_i on some axis, and can
+    reach y only if x_i <= y_i + R_i on every axis.  Each set holds every
+    predecessor of its entries, so the entries it keeps are exact.  The band
+    is d slabs, x_i < R_i with x_l >= R_l on the earlier axes l; the target
+    adds its corner beyond them, or is the one box of a pass without band.
+    """
+    q = _descent(model.dist.steps, model.dimension)
+
+    def boxes(n: int, k: int) -> list:
+        reach = [(n - k) * c for c in q]
+        kept = [[(lo, None) for lo in reach[:i]] + [(0, r)] + [(0, None)] * (len(q) - i - 1)
+                for i, r in enumerate(reach) if band and r > 0]
+        if target is not None:
+            kept.append([(r if band else 0, y + r + 1) for r, y in zip(reach, target)])
+        return kept
+
+    return boxes
+
+
+def _box(model: WalkModel, k: int) -> list[int]:
+    """Shape of the box ``[0, start + k*grow]`` that holds layer k."""
+    grow = _grow(model.dist.steps, model.dimension)
+    return [x + k * g + 1 for x, g in zip(model.start, grow)]
+
+
+def _boxes(model: WalkModel, n: int, k: int, keep) -> list:
+    """The keep boxes of layer k of a pass to horizon n clipped to the layer's
+    box, the empty ones dropped; None keeps the box."""
+    box = _box(model, k)
+    boxes = [[(0, None)] * len(box)] if keep is None else keep(n, k)
+    clipped = [[(lo, s if hi is None else min(hi, s)) for (lo, hi), s in zip(b, box)]
+               for b in boxes]
+    return [b for b in clipped if all(lo < hi for lo, hi in b)]
+
+
 def _class_shape(shape, r, m: int) -> list[int]:
     """Shape of class r of a box: the entries r + m*j inside it."""
     return [(s - c + m - 1) // m for s, c in zip(shape, r)]
@@ -195,67 +291,68 @@ def _moves(r, v, m: int):
     return to, [(c + a - t) // m for c, a, t in zip(r, v, to)]
 
 
-def _advance(classes: dict, steps, shape, m: int) -> dict:
-    """One DP transition into a box of the given shape: each step v adds
-    c_v * layer[x] at x + v, for every x with x + v in the orthant and the box.
+def _advance(classes: dict, steps, boxes, m: int) -> dict:
+    """One DP transition: each step v adds c_v * layer[x] at x + v, for every
+    x with x + v in the orthant and in one of the disjoint keep boxes.
 
-    A class is stored once a step writes to it: the first such step assigns
-    its slice into zeros, and later steps add into it.  Each run of adjacent
-    steps with equal weight scales the stored classes once.
+    In class r a box [lo, hi) holds the entries j with r + m*j inside it, and
+    the class is stored in the smallest array that holds its boxes, once a
+    step writes to it.  In each box of a class the first step to write
+    assigns its slice into the zeros, and later steps add into it.  Each run
+    of adjacent steps with equal weight scales the stored classes once.
     """
-    new = {}
+    new, parts, written = {}, {}, set()
     for c, group in itertools.groupby(steps, key=itemgetter(1)):
         scaled = classes if c == 1 else {r: c * a for r, a in classes.items()}
         for v, _ in group:
             for r, a in scaled.items():
                 to, shift = _moves(r, v, m)
-                out = new.get(to)
-                bounds = _class_shape(shape, to, m) if out is None else out.shape
-                src, dst = [], []
-                for s, size, bound in zip(shift, a.shape, bounds):
-                    lo, hi = max(-s, 0), min(size, bound - s)
-                    src.append(slice(lo, hi))
-                    dst.append(slice(lo + s, hi + s))
-                if any(x.start >= x.stop for x in src):
-                    continue  # every entry leaves the orthant or the box
-                if out is None:
-                    out = new[to] = np.zeros(bounds, dtype=a.dtype)
-                    out[tuple(dst)] = a[tuple(src)]
-                else:
-                    out[tuple(dst)] += a[tuple(src)]
-        del scaled  # free this product before the next weight forms its own
+                if to not in parts:
+                    parts[to] = [[(-((t - lo) // m), -((t - hi) // m))
+                                  for t, (lo, hi) in zip(to, box)] for box in boxes]
+                for part, ranges in enumerate(parts[to]):
+                    src, dst = [], []
+                    for s, size, (lo, hi) in zip(shift, a.shape, ranges):
+                        lo, hi = max(lo, s), min(hi, size + s)
+                        src.append(slice(lo - s, hi - s))
+                        dst.append(slice(lo, hi))
+                    if any(x.start >= x.stop for x in dst):
+                        continue  # no entry lands in the orthant and this box
+                    if (to, part) in written:
+                        new[to][tuple(dst)] += a[tuple(src)]
+                        continue
+                    if to not in new:
+                        shape = [max(hi for _, hi in axis) for axis in zip(*parts[to])]
+                        new[to] = np.zeros(shape, dtype=a.dtype)
+                    new[to][tuple(dst)] = a[tuple(src)]
+                    written.add((to, part))
+        # free this product, its last class too, before the next weight forms its own
+        scaled = a = None
     return new
 
 
-def _layers(model: WalkModel, n: int, steps, dtype, target=None) -> Iterator[dict]:
+def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]:
     """Yield layers 0..n, each a dict from live residue class r to the
     confined masses at r + m*j under the given step weights.
 
-    With a target point given, states that cannot reach the target within the
-    remaining time are cut off each class; this leaves every entry at the
-    target intact.
+    Layers past the first hold only the entries inside the keep boxes of
+    ``keep`` (see ``_keep``; None keeps the whole box), which are exact.
     """
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
-    _budget_states(model, n)
-    grow = _grow(steps, model.dimension)
-    step_bound = _step_bound(model)
+    _budget_states(model, n, keep, dtype)
     m = _modulus(model)
-    shape = [x + 1 for x in model.start]
     r = tuple(x % m for x in model.start)
-    first = np.zeros(_class_shape(shape, r, m), dtype=dtype)
+    first = np.zeros(_class_shape([x + 1 for x in model.start], r, m), dtype=dtype)
     first[tuple(x // m for x in model.start)] = 1
     layer = {r: first}
     yield layer
     for k in range(1, n + 1):
-        shape = [s + g for s, g in zip(shape, grow)]
-        if target is not None:
-            shape = [min(s, y + (n - k) * step_bound + 1) for s, y in zip(shape, target)]
-        layer = _advance(layer, steps, shape, m)
+        layer = _advance(layer, steps, _boxes(model, n, k, keep), m)
         yield layer
 
 
-def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[dict]:
+def _integer_layers(model: WalkModel, n: int, keep=None) -> Iterator[dict]:
     """Yield layers 0..n of integer numerators over D^k.
 
     Integer sums do not depend on the order of the steps, so equal weights
@@ -267,7 +364,7 @@ def _integer_layers(model: WalkModel, n: int, target=None) -> Iterator[dict]:
     for _, c in steps:
         first_seen.setdefault(c, len(first_seen))
     steps.sort(key=lambda step: first_seen[step[1]])
-    return _layers(model, n, steps, object, target)
+    return _layers(model, n, steps, object, keep)
 
 
 def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
@@ -299,16 +396,17 @@ def _exit_slabs(layer: dict, v, m: int):
 
 def _read(model: WalkModel, n: int, target=None, carried=()):
     """Read the survival sequence, the excursion sequence at ``target`` (None
-    without one) and one term list per carried functional off one unpruned
-    pass over the integer layers 0..n.
+    without one) and one term list per carried functional off one pass over
+    the integer layers 0..n.
 
     A carried functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
     free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
     to sum_v c_v (F_k - sum of layer_k[x] f(x + v) over the x with x + v
     outside the orthant).  It is given as the pair (f(start), exit_sum), where
     ``exit_sum(slab, corner, m)`` sums slab[c] f(corner + m*c) over one slab
-    of ``_exit_slabs``.  Survival is the functional f = 1.  The step holds only
-    when every layer is the whole confined mass; so no target prunes it.
+    of ``_exit_slabs``.  Survival is the functional f = 1.  So the terms need
+    layer k only where it can still exit by step n or reach the target: the
+    pass keeps the band and the target's corner of ``_keep``.
     """
     den = model.dist.common_denominator
     steps, _den = model.dist.integer_weights()
@@ -320,11 +418,13 @@ def _read(model: WalkModel, n: int, target=None, carried=()):
     carried = [(1, lambda slab, _corner, _m: slab.sum()), *carried]
     values = [start for start, _ in carried]
     sequences = [[] for _ in range(len(carried) + len(readouts))]
-    for k, layer in enumerate(_integer_layers(model, n)):
+    for k, layer in enumerate(_integer_layers(model, n, _keep(model, target))):
         scale = den ** k
         terms = values + [readout(layer) for readout in readouts]
         for sequence, term in zip(sequences, terms):
             sequence.append(Fraction(term, scale))
+        if k == n:
+            break
         values = [sum(c * (value - sum(exit_sum(slab, corner, m)
                                        for slab, corner in _exit_slabs(layer, v, m)))
                       for v, c in steps)
@@ -357,11 +457,12 @@ def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
 
 
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
-    """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n."""
+    """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n, off
+    a pass that keeps only the states that can still reach y."""
     y, readout = _excursion_readout(model, y)
     den = model.dist.common_denominator
-    terms = tuple(Fraction(readout(layer), den ** k)
-                  for k, layer in enumerate(_integer_layers(model, n, y)))
+    layers = _integer_layers(model, n, _keep(model, y, band=False))
+    terms = tuple(Fraction(readout(layer), den ** k) for k, layer in enumerate(layers))
     return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
 
 
@@ -467,7 +568,7 @@ def survival_pass(model: WalkModel, n: int, target=None) -> tuple[
         ExactSequence, ExactSequence | None, EscapeBounds | None]:
     """Survival a_0..a_n, the excursion at ``target`` (None without one) and
     the escape bounds (None where ``bounds_error`` rejects the model), off one
-    unpruned pass: on a bounds model it is the pass of
+    banded pass: on a bounds model it is the pass of
     ``escape_probability_bounds``."""
     if bounds_error(model) is None:
         bounds = escape_probability_bounds(model, n, target)

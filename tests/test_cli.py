@@ -99,9 +99,9 @@ def dp_passes(monkeypatch):
     horizons = []
     layers = exact_dp._integer_layers
 
-    def counted(model, n, target=None):
+    def counted(model, n, keep=None):
         horizons.append(n)
-        return layers(model, n, target)
+        return layers(model, n, keep)
 
     monkeypatch.setattr(exact_dp, "_integer_layers", counted)
     return horizons

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -258,6 +259,105 @@ class TestKernel:
                         assert layer.ravel().tolist() == ref.ravel().tolist()
 
 
+def _random_walk(rng, d: int, trapped: bool):
+    """A walk of 2-4 distinct steps with coordinates in -3..2 (none in a
+    trapped walk, and none on a random axis otherwise, below 0) and random
+    integer weights, with a start in 0..3 and a target that a confined path
+    of at most 8 steps reaches."""
+    flat = set() if not trapped else set(range(d))
+    if not trapped and d > 1 and rng.random() < 0.5:
+        flat.add(int(rng.integers(d)))
+    steps = set()
+    while len(steps) < int(rng.integers(2, 5)):
+        v = tuple(int(rng.integers(0 if i in flat else -3, 3)) for i in range(d))
+        if any(v):
+            steps.add(v)
+    weights = [int(w) for w in rng.integers(1, 4, size=len(steps))]
+    start = tuple(int(c) for c in rng.integers(0, 4, size=d))
+    target = start
+    for _ in range(int(rng.integers(9))):
+        v = sorted(steps)[int(rng.integers(len(steps)))]
+        if all(c + a >= 0 for c, a in zip(target, v)):
+            target = tuple(c + a for c, a in zip(target, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return walk({v: F(w, sum(weights)) for v, w in zip(sorted(steps), weights)},
+                    start), target
+
+
+def _box_of(layer, shape, m):
+    """The box of the given shape that holds each class r of a layer at the
+    positions r + m*j, zero elsewhere."""
+    box = np.zeros(shape, dtype=object)
+    for r, a in layer.items():
+        box[tuple(slice(c, c + m * s, m) for c, s in zip(r, a.shape))] = a
+    return box
+
+
+class TestKeepBoxes:
+    """Passes that keep only the entries that can still exit before the
+    horizon, or reach the target, against the unpruned layers."""
+
+    @staticmethod
+    def kept(x, reach, target, band: bool) -> bool:
+        exits = band and any(c < r for c, r in zip(x, reach))
+        return exits or all(c <= y + r for c, y, r in zip(x, target, reach))
+
+    def test_banded_passes_match_unpruned_layers(self):
+        rng = np.random.default_rng(19)
+        cases = [_random_walk(rng, d, trapped) for d in (1, 2, 3)
+                 for trapped in (False,) * 9 + (True,)]
+        # small-step walks with interior drift, so the escape bounds run
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cases += [
+                (walk({(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5),
+                       (0, 1): F(1, 5), (1, 1): F(1, 5)}, (1, 2)), (2, 1)),
+                (walk({(1,): F(3, 4), (-1,): F(1, 4)}, (2,)), (1,)),
+                (walk({(1, 0, 0): F(3, 10), (0, 1, 0): F(3, 10), (0, 0, 1): F(3, 10),
+                       (-1, -1, -1): F(1, 10)}, (0, 1, 0)), (1, 1, 1))]
+        assert {exact_dp._modulus(model) > 1 for model, _ in cases} == {True, False}
+        n, with_bounds = 10, 0
+        for model, target in cases:
+            q = [max(0, *(-v[i] for v, _ in model.dist.steps))
+                 for i in range(model.dimension)]
+            m = exact_dp._modulus(model)
+            den = model.dist.common_denominator
+            reference = list(exact_dp._integer_layers(model, n))
+            for band in (True, False):
+                keep = exact_dp._keep(model, target, band)
+                layers = exact_dp._integer_layers(model, n, keep)
+                for k, (layer, ref) in enumerate(zip(layers, reference, strict=True)):
+                    full = _box_of(ref, exact_dp._box(model, k), m)
+                    pruned = _box_of(layer, full.shape, m)
+                    reach = [(n - k) * c for c in q]
+                    for x in itertools.product(*map(range, full.shape)):
+                        want = full[x] if k == 0 or self.kept(x, reach, target, band) else 0
+                        assert pruned[x] == want, (model, target, band, k, x)
+
+            totals = [F(sum(a.sum() for a in layer.values()), den ** k)
+                      for k, layer in enumerate(reference)]
+            at_target = [F(_box_of(layer, exact_dp._box(model, k), m)[target], den ** k)
+                         if all(c < s for c, s in zip(target, exact_dp._box(model, k)))
+                         else F(0) for k, layer in enumerate(reference)]
+            survival, excursion, bounds = exact_dp.survival_pass(model, n, target)
+            assert list(survival.terms) == totals
+            assert list(excursion.terms) == at_target
+            assert list(excursion_sequence(model, target, n).terms) == at_target
+            assert totals[:9] == brute_force_survival(model, 8)
+            assert at_target[:9] == brute_force_excursion(model, target, 8)
+            if bounds is not None:
+                gammas = exact_dp._gammas(model)
+                g = [sum((F(int(layer[pos]), den ** k) * gamma ** (pos[i] + 1)
+                          for pos in itertools.product(*map(range, layer.shape))
+                          for i, gamma in gammas.items()), F(0))
+                     for k, layer in ((k, _box_of(layer, exact_dp._box(model, k), m))
+                                      for k, layer in enumerate(reference))]
+                assert list(bounds.g_sequence.terms) == g
+                with_bounds += 1
+        assert with_bounds >= 3
+
+
 class TestExcursion:
     def test_five_step_origin(self, five_step_model):
         seq = excursion_sequence(five_step_model, (0, 0), 2)
@@ -484,23 +584,35 @@ class TestMemoryBudget:
         assert len(seq.terms) == 6
 
     def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d,
-                                           octant_3d):
-        # the exterior's integer weights 1, 1, 2, 2 keep a scaled layer alive
-        # through a step; the exterior and the octant store half the box.
-        # The last two walks have long negative steps: the box grows only by
-        # the largest positive coordinate of a step.
+                                           octant_3d, simple_walk_2d):
+        # survival and the escape bounds keep the exit band, the excursion the
+        # states that can reach its target, and the float tilted functional
+        # the whole box.  The exterior's integer weights 1, 1, 2, 2 keep a
+        # scaled layer alive through a step; the exterior and the octant store
+        # half the box.  Two walks have long negative steps: the box grows only
+        # by the largest positive coordinate of a step.
         long_back = walk({(1, 0): F(1, 3), (0, 1): F(1, 3),
                           (-3, 0): F(1, 6), (0, -3): F(1, 6)}, (0, 0))
         diagonal_back = walk({(1, 0): F(3, 8), (0, 1): F(3, 8), (-5, -5): F(1, 4)}, (0, 0))
+        t_ext = analyze(exterior_2d.dist, exterior_2d.cone).t0
+        t_oct = analyze(octant_3d.dist, octant_3d.cone).t0
+        band = exact_dp._keep
         survival_sequence(five_step_model, 2)
-        for model, n, passes in (
-                (five_step_model, 60, (survival_sequence, escape_probability_bounds)),
-                (exterior_2d, 60, (survival_sequence,)),
-                (exterior_2d, 250, (survival_sequence,)),
-                (octant_3d, 40, (survival_sequence,)),
-                (long_back, 60, (survival_sequence,)),
-                (long_back, 200, (survival_sequence,)),
-                (diagonal_back, 60, (survival_sequence,))):
+        for model, n, passes, keep, dtype in (
+                (five_step_model, 60, (survival_sequence, escape_probability_bounds),
+                 band(five_step_model), object),
+                (exterior_2d, 60, (survival_sequence,), band(exterior_2d), object),
+                (exterior_2d, 250, (survival_sequence,), band(exterior_2d), object),
+                (octant_3d, 40, (survival_sequence,), band(octant_3d), object),
+                (long_back, 60, (survival_sequence,), band(long_back), object),
+                (long_back, 200, (survival_sequence,), band(long_back), object),
+                (diagonal_back, 60, (survival_sequence,), band(diagonal_back), object),
+                (simple_walk_2d, 120, (lambda model, n: excursion_sequence(model, (1, 1), n),),
+                 band(simple_walk_2d, (1, 1), band=False), object),
+                (exterior_2d, 60, (lambda model, n: tilted_survival_functional(model, t_ext, n),),
+                 None, float),
+                (octant_3d, 40, (lambda model, n: tilted_survival_functional(model, t_oct, n),),
+                 None, float)):
             tracemalloc.start()
             try:
                 for run in passes:
@@ -508,7 +620,7 @@ class TestMemoryBudget:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= _dp_bytes(model, n) <= 2.5 * peak
+            assert peak <= _dp_bytes(model, n, keep, dtype) <= 2.5 * peak
 
     @pytest.mark.parametrize("box,start,reach", [
         ((5,), (2,), 1), ((7, 4), (0, 0), 3), ((7, 4), (1, 2), 20),
@@ -520,17 +632,55 @@ class TestMemoryBudget:
 
     def test_only_unreachable_entries_drop_to_their_slot(self, five_step_model,
                                                          exterior_2d):
-        # box 61 x 61 at n = 60.  Five-step's NE step reaches the far corner,
-        # so every entry is charged as an int.  The exterior walk (m = 2, two
-        # classes of 31 x 31) cannot pass x + y = 60: 1891 of the 3721 points.
-        n = 60
+        # Each pass kind at n = 60, from closed forms of the stored entries
+        # and the live (int) entries of layer k; R = n - k.  Five-step (m = 1,
+        # every weight 1/5) reaches the far corner of its box [0, k]^2 by NE
+        # steps, so every entry it keeps is live.  The exterior walk (m = 2,
+        # two classes of ceil((k+1)/2)^2, weights 1, 1, 2, 2 over 6) cannot
+        # pass x + y = k: tri(k) = (k+1)(k+2)/2 of the (k+1)^2 points.
+        n, band = 60, exact_dp._keep
 
-        def predicted(stored, ints, denominator):
-            entries = 3 * stored + min(stored, np.getbufsize()) + 8 * (n + 1)
-            ints = entries - 3 * (stored - ints)
-            return 8 * entries + ints * (40 + n * math.log2(denominator) / 7.5)
+        def tri(j):
+            return (j + 1) * (j + 2) // 2 if j >= 0 else 0
 
-        assert _dp_bytes(five_step_model, n) == pytest.approx(predicted(61 ** 2, 61 ** 2, 5))
-        stored = 2 * 31 ** 2
-        assert _dp_bytes(exterior_2d, n) == pytest.approx(
-            predicted(stored, stored * 1891 / 3721, 6))
+        def peak(counts, held, denominator):
+            def step(k):
+                (s0, l0), (s, l) = counts(k - 1) if k > 1 else (1, 1), counts(k)
+                ints = held * l0 + l + 8 * (n + 1)
+                return (8 * (held * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1))
+                        + ints * (40 + k * math.log2(denominator) / 7.5))
+            return max(step(k) for k in range(1, n + 1))
+
+        def five(k):
+            return (k + 1) ** 2, (k + 1) ** 2
+
+        def five_band(k):  # the box less its corner [R, k]^2; nothing at k = n
+            return ((k + 1) ** 2, (k + 1) ** 2 - max(0, 2 * k - n + 1) ** 2) if k < n else (0, 0)
+
+        def five_cut(k):  # the box [0, R]^2 of the states that can reach (0, 0)
+            return (min(k, n - k) + 1) ** 2, (min(k, n - k) + 1) ** 2
+
+        def exterior(k):
+            stored = 2 * ((k + 2) // 2) ** 2
+            return stored, stored * tri(k) / (k + 1) ** 2
+
+        def exterior_band(k):  # its corner holds tri(3k - 2n) of the points below x + y = k
+            stored = 2 * ((k + 2) // 2) ** 2
+            live = stored * (tri(k) - tri(3 * k - 2 * n)) / (k + 1) ** 2
+            return (stored, live) if k < n else (0, 0)
+
+        assert _dp_bytes(five_step_model, n) == pytest.approx(peak(five, 1, 5))
+        assert _dp_bytes(five_step_model, n, band(five_step_model)) == \
+            pytest.approx(peak(five_band, 1, 5))
+        assert _dp_bytes(five_step_model, n, band(five_step_model, (0, 0), band=False)) == \
+            pytest.approx(peak(five_cut, 1, 5))
+        assert _dp_bytes(exterior_2d, n) == pytest.approx(peak(exterior, 2, 6))
+        assert _dp_bytes(exterior_2d, n, band(exterior_2d)) == \
+            pytest.approx(peak(exterior_band, 2, 6))
+        # floats: the weight box of 61^2 points, the 64 KiB for the interpreter
+        # and no ints; the whole box peaks at its last step
+        (s0, _), (s, live) = exterior(n - 1), exterior(n)
+        step = 8 * (2 * s0 + 3 * min(s, np.getbufsize()))
+        readout = (9 * s + 40 * live) / 2
+        assert _dp_bytes(exterior_2d, n, None, float) == pytest.approx(
+            8 * (61 ** 2 + s) + max(step, readout) + 2 ** 16)
