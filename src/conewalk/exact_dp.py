@@ -144,14 +144,13 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     numerator below D^k on top, except in the entries outside the keep boxes
     or past the hyperplane sum(x - start) = k * max_v sum(v), which no walk
     reaches in k steps: they all point at the cached int 0.  A float entry
-    is its slot alone.  The float pass is the tilted functional's: it holds a
-    weight per point of the last box, and its readout of layer k holds one
-    class's products and their nonzero mask (9 bytes an entry) and its
-    nonzero products, in an array and as Python floats (40 bytes each).  With
-    no int rounding to cover them, a float step also charges 64 KiB for the
-    interpreter's own objects: index tuples, slices and the free lists that
-    keep them.  The peak is the largest step, the last one when the whole box
-    is kept.
+    is its slot alone: the tilted functional's readout, a float sum that is
+    not exactly rounded, contracts each class with one weight vector per
+    axis, so it holds nothing the size of the box.
+    With no int rounding to cover them, a float step charges 64 KiB for the
+    interpreter's own objects instead: index tuples, slices and the free
+    lists that keep them.  The peak is the largest step, the last one when
+    the whole box is kept.
     """
     m, d, start = _modulus(model), model.dimension, model.start
     classes = m ** (d - 1)
@@ -159,7 +158,6 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     bits = max(math.log2(model.dist.common_denominator), 1.0)
     steps, _den = model.dist.integer_weights()
     held = 2 if dtype is not object or any(c != 1 for _, c in steps) else 1
-    weight = 0 if dtype is object else math.prod(_box(model, n))
 
     def entries(k: int):
         """The stored and the live entries of layer k."""
@@ -177,15 +175,10 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     # every layer of the whole box holds more than the one before
     for k in range(1 if keep is not None else max(n, 1), n + 1):
         (stored_before, live_before), (stored, live) = before or entries(k - 1), entries(k)
-        buffered = 3 * min(stored, np.getbufsize())
-        if dtype is object:
-            terms = 8 * (n + 1)
-            ints = held * live_before + live + terms
-            step = (8 * (held * stored_before + stored + buffered + terms)
-                    + ints * (40 + k * bits / 7.5))
-        else:
-            step = 8 * (weight + stored) + max(8 * (held * stored_before + buffered),
-                                               (9 * stored + 40 * live) / classes) + 2 ** 16
+        buffered, terms = 3 * min(stored, np.getbufsize()), 8 * (n + 1)
+        step = 8 * (held * stored_before + stored + buffered + terms) + (
+            (held * live_before + live + terms) * (40 + k * bits / 7.5)
+            if dtype is object else 2 ** 16)
         peak, before = max(peak, step), (stored, live)
     return peak
 
@@ -338,6 +331,8 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     Layers past the first hold only the entries inside the keep boxes of
     ``keep`` (see ``_keep``; None keeps the whole box), which are exact.
     """
+    if n < 0:
+        raise ConewalkError(f"the horizon must be non-negative, got {n}")
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
     _budget_states(model, n, keep, dtype)
@@ -470,22 +465,22 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     """Expectation of e^{-<t0,S_k>} over confined paths under the tilted law.
 
     Multiplying term k by rho^k e^{<t0,x>} reconstructs a_k; this is the
-    floating-point cross-check of the exact sequences.
+    floating-point cross-check of the exact sequences.  The weight
+    e^{-<t0,x>} factors over the axes, so each class is contracted with one
+    weight vector per axis, last axis first, and the classes are added up:
+    a float sum in a fixed order, not an exactly rounded one.
     """
     tilted, _drift = tilt_distribution(model.dist, t0)
-    t0 = [float(c) for c in t0]
     m = _modulus(model)
-    grow = _grow(tilted, model.dimension)
-    axes = np.ogrid[tuple(slice(x + n * g + 1) for x, g in zip(model.start, grow))]
-    weight = np.exp(-sum(t * a for t, a in zip(t0, axes)))
+    weights = [np.exp(-float(t) * np.arange(s)) for t, s in zip(t0, _box(model, n))]
 
     def readout(layer: dict) -> float:
-        # fsum is exactly rounded, so leaving out the zero products changes
-        # no bit of the sum
-        products = (a * weight[tuple(slice(c, c + m * s, m) for c, s in zip(r, a.shape))]
-                    for r, a in layer.items())
-        return math.fsum(itertools.chain.from_iterable(
-            p[p != 0].tolist() for p in products))
+        total = 0.0
+        for r, a in layer.items():
+            for w, c in zip(weights[::-1], r[::-1]):
+                a = a @ w[c::m][:a.shape[-1]]
+            total += float(a)
+        return total
 
     return [readout(layer) for layer in _layers(model, n, tilted, float)]
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConewalkError
 from .laplace import LaplaceAnalysis
 from .model import WalkModel
 
@@ -163,6 +164,8 @@ def _estimate(model: WalkModel, weighted_steps, t0, rho: float, n: int,
     that stay in the cone, walked under the given step weights."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if n < 0:
+        raise ConewalkError(f"the horizon must be non-negative, got {n}")
     t0 = np.asarray(t0, dtype=float)
     prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 

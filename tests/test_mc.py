@@ -20,6 +20,7 @@ from conewalk import (
     tilt_distribution,
 )
 from conewalk import mc
+from conewalk.errors import ConewalkError
 from conewalk.mc import N_STREAMS, _stream_counts, _stream_rng
 
 
@@ -120,6 +121,11 @@ class TestSimulateSurvival:
         with pytest.raises(ValueError):
             simulate_survival(five_step_model, 5, 0, seed=0)
 
+    def test_rejects_negative_horizon(self, exterior_2d):
+        # the exterior's walkers die, so a missing check fails rather than hangs
+        with pytest.raises(ConewalkError, match="non-negative"):
+            simulate_survival(exterior_2d, -1, 100, seed=0)
+
 
 class TestSimulateTilted:
     def test_unbiased_against_exact(self, exterior_2d):
@@ -129,6 +135,11 @@ class TestSimulateTilted:
         est = simulate_tilted(exterior_2d, an, n, 40_000, seed=11)
         assert est.method == "tilted"
         assert abs(est.mean - exact) <= 4 * est.std_error
+
+    def test_rejects_negative_horizon(self, exterior_2d):
+        an = analyze(exterior_2d.dist, exterior_2d.cone)
+        with pytest.raises(ConewalkError, match="non-negative"):
+            simulate_tilted(exterior_2d, an, -1, 100, seed=0)
 
     def test_zero_tilt_recovers_plain_indicator(self, exterior_2d):
         # tilted at t = 0 every weight is the indicator of survival
