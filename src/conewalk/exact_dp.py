@@ -18,7 +18,10 @@ stored classes once; the tilted functional uses ``float64``.
 off one pass, and ``survival_pass`` is the one call for all three.  It
 carries the survival total and the g-functional from layer to layer by
 subtracting what exits through the boundary slabs of each class: both f = 1
-and g are harmonic for the free walk, so neither sums the layer.  The
+and g are harmonic for the free walk, so neither sums the layer.  Each is
+carried as an integer over one fixed scale (1 for survival, a product of
+powers of the g_i denominators for g), so the carry runs on Python ints with
+no gcd, and one sweep over each step's exit slabs serves both.  The
 excursion readout is one entry of one class.
 
 So a layer matters only where it can still exit by the horizon n or reach
@@ -329,7 +332,9 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     confined masses at r + m*j under the given step weights.
 
     Layers past the first hold only the entries inside the keep boxes of
-    ``keep`` (see ``_keep``; None keeps the whole box), which are exact.
+    ``keep`` (see ``_keep``; None keeps the whole box), which are exact.  The
+    horizon, the cone and the memory budget are checked at the call, before
+    the first layer is asked for.
     """
     if n < 0:
         raise ConewalkError(f"the horizon must be non-negative, got {n}")
@@ -340,11 +345,9 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     r = tuple(x % m for x in model.start)
     first = np.zeros(_class_shape([x + 1 for x in model.start], r, m), dtype=dtype)
     first[tuple(x // m for x in model.start)] = 1
-    layer = {r: first}
-    yield layer
-    for k in range(1, n + 1):
-        layer = _advance(layer, steps, _boxes(model, n, k, keep), m)
-        yield layer
+    return itertools.accumulate(
+        range(1, n + 1), lambda layer, k: _advance(layer, steps, _boxes(model, n, k, keep), m),
+        initial={r: first})
 
 
 def _integer_layers(model: WalkModel, n: int, keep=None) -> Iterator[dict]:
@@ -389,19 +392,22 @@ def _exit_slabs(layer: dict, v, m: int):
                 yield a[slab], [t + m * (c + b) for t, c, b in zip(to, lo, shift)]
 
 
-def _read(model: WalkModel, n: int, target=None, carried=()):
+def _read(model: WalkModel, n: int, target=None, gammas=None):
     """Read the survival sequence, the excursion sequence at ``target`` (None
-    without one) and one term list per carried functional off one pass over
-    the integer layers 0..n.
+    without one) and, given the ratios ``gammas`` of ``_gammas``, the terms of
+    the escape bounds' g-functional (else None) off one pass over the integer
+    layers 0..n.
 
     A carried functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
     free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
-    to sum_v c_v (F_k - sum of layer_k[x] f(x + v) over the x with x + v
-    outside the orthant).  It is given as the pair (f(start), exit_sum), where
-    ``exit_sum(slab, corner, m)`` sums slab[c] f(corner + m*c) over one slab
-    of ``_exit_slabs``.  Survival is the functional f = 1.  So the terms need
-    layer k only where it can still exit by step n or reach the target: the
-    pass keeps the band and the target's corner of ``_keep``.
+    to D F_k - sum_v c_v (sum of layer_k[x] f(x + v) over the x with x + v
+    outside the orthant).  Each is carried as an integer over a fixed scale s,
+    its term k being value / (D^k s), with ``exit_sum(slab, corner)`` the
+    integer s * sum_c slab[c] f(corner + m*c) over one slab of
+    ``_exit_slabs``; one sweep over each step's slabs serves every
+    functional.  Survival is f = 1 over s = 1.  So the terms need layer k only
+    where it can still exit by step n or reach the target: the pass keeps the
+    band and the target's corner of ``_keep``.
     """
     den = model.dist.common_denominator
     steps, _den = model.dist.integer_weights()
@@ -410,25 +416,61 @@ def _read(model: WalkModel, n: int, target=None, carried=()):
     if target is not None:
         target, readout = _excursion_readout(model, target)
         readouts.append(readout)
-    carried = [(1, lambda slab, _corner, _m: slab.sum()), *carried]
-    values = [start for start, _ in carried]
+    # the call checks the horizon and the memory budget, so before g's weights
+    layers = _integer_layers(model, n, _keep(model, target))
+    carried = [(1, 1, lambda slab, _corner: slab.sum())]
+    if gammas is not None:
+        carried.append(_g_functional(model, n, gammas, m))
+    values = [start for start, _, _ in carried]
     sequences = [[] for _ in range(len(carried) + len(readouts))]
-    for k, layer in enumerate(_integer_layers(model, n, _keep(model, target))):
+    for k, layer in enumerate(layers):
         scale = den ** k
-        terms = values + [readout(layer) for readout in readouts]
+        terms = [Fraction(value, scale * s) for value, (_, s, _) in zip(values, carried)]
+        terms += [Fraction(readout(layer), scale) for readout in readouts]
         for sequence, term in zip(sequences, terms):
-            sequence.append(Fraction(term, scale))
+            sequence.append(term)
         if k == n:
             break
-        values = [sum(c * (value - sum(exit_sum(slab, corner, m)
-                                       for slab, corner in _exit_slabs(layer, v, m)))
-                      for v, c in steps)
-                  for value, (_, exit_sum) in zip(values, carried)]
+        exits = [0] * len(carried)
+        for v, c in steps:
+            for slab, corner in _exit_slabs(layer, v, m):
+                exits = [e + c * exit_sum(slab, corner)
+                         for e, (_, _, exit_sum) in zip(exits, carried)]
+        values = [den * value - e for value, e in zip(values, exits)]
     h = model.model_hash()
-    survival, *carried_terms = sequences[:len(carried)]
+    survival, *g_terms = sequences[:len(carried)]
     excursion = (ExactSequence(tuple(sequences[-1]), "excursion", h, n, target=target)
                  if readouts else None)
-    return ExactSequence(tuple(survival), "survival", h, n), excursion, carried_terms
+    return (ExactSequence(tuple(survival), "survival", h, n), excursion,
+            tuple(g_terms[0]) if g_terms else None)
+
+
+def _g_functional(model: WalkModel, n: int, gammas: dict, m: int):
+    """The carry of g(x) = sum_i g_i^(x_i + 1) for ``_read`` to horizon n:
+    (s g(start), s, exit_sum) over the scale s = prod_i p_i^E_i, where
+    g_i = q_i/p_i and E_i is the box side of layer n.
+
+    No exponent x_i + 1 of a state that layer k < n holds or steps to exceeds
+    E_i, so s g_i^t = w_i[t] is an integer for t = 0..E_i:
+    w_i[t] = q_i^t p_i^(E_i - t) s / p_i^E_i.  A slab's sum is then each
+    coordinate-i marginal dotted with one slice of w_i, its entries m apart
+    from the exit corner.
+    """
+    d = model.dimension
+    box = _box(model, n)
+    scale = math.prod(g.denominator ** box[i] for i, g in gammas.items())
+    weights = {}
+    for i, g in gammas.items():
+        q, p, e = g.numerator, g.denominator, box[i]
+        rest = scale // p ** e
+        weights[i] = np.array([rest * q ** t * p ** (e - t) for t in range(e + 1)],
+                              dtype=object)
+
+    def exit_sum(slab: np.ndarray, corner) -> int:
+        return sum(slab.sum(axis=tuple(j for j in range(d) if j != i))
+                   @ w[corner[i] + 1::m][:slab.shape[i]] for i, w in weights.items())
+
+    return sum(w[model.start[i] + 1] for i, w in weights.items()), scale, exit_sum
 
 
 def _excursion_readout(model: WalkModel, y):
@@ -470,6 +512,9 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     weight vector per axis, last axis first, and the classes are added up:
     a float sum in a fixed order, not an exactly rounded one.
     """
+    if len(t0) != model.dimension:
+        raise ConewalkError(f"t0 has {len(t0)} coordinates; the walk has "
+                            f"dimension {model.dimension}")
     tilted, _drift = tilt_distribution(model.dist, t0)
     m = _modulus(model)
     weights = [np.exp(-float(t) * np.arange(s)) for t, s in zip(t0, _box(model, n))]
@@ -511,40 +556,18 @@ def _gammas(model: WalkModel) -> dict[int, Fraction]:
     return {i: q / p for i, (p, _r, q) in enumerate(marginals) if q > 0}
 
 
-def _power_sum(marginal, g: Fraction, e: int, m: int) -> Fraction:
-    """sum_c marginal[c] g^(e + m*c) over a 1D integer array of length K.
-    With g = q/p and G = g^m = Q/P this is q^e h / (P^(K-1) p^e), where
-    h = sum_c marginal[c] Q^c P^(K-1-c) by Horner on ints."""
-    q, p = g.numerator, g.denominator
-    big_q, big_p = q ** m, p ** m
-    h, p_pow = 0, 1
-    for x in marginal[::-1]:
-        h = h * big_q + x * p_pow
-        p_pow *= big_p
-    return Fraction(h * big_p * q ** e, p_pow * p ** e)
-
-
 def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBounds:
     """Per-horizon intervals [a_k - g_k, a_k - g_k/d] around P^x(tau=inf).
 
     g(x) = sum_i g_i^(x_i + 1) is the exact upper harmonic bound on the exit
     probability from x, and g_k = sum_x P^x(tau > k, S_k = x) g(x) is carried
-    by exit mass like a_k, from g_0 = g(start).  With a target y, the same
-    pass also reads the excursion sequence at y.
+    by exit mass like a_k, from g_0 = g(start): an integer over one fixed
+    scale, stepped by the same sweep over the exit slabs as a_k (see
+    ``_read``).  With a target y, the same pass also reads the excursion
+    sequence at y.
     """
-    gammas = _gammas(model)
     d = model.dimension
-    g_start = sum((g ** (model.start[i] + 1) for i, g in gammas.items()), Fraction(0))
-
-    def exit_g(slab: np.ndarray, corner, m: int) -> Fraction:
-        # g(x) = sum_i g_i^(x_i + 1), so each term is a power sum in g_i^m
-        # over the slab's coordinate-i marginal
-        return sum((_power_sum(slab.sum(axis=tuple(j for j in range(d) if j != i)),
-                               g, corner[i] + 1, m) for i, g in gammas.items()),
-                   Fraction(0))
-
-    survival, excursion, [g_terms] = _read(
-        model, n, target, [(g_start, exit_g)])
+    survival, excursion, g_terms = _read(model, n, target, _gammas(model))
     intervals = [(a_k - g_k, a_k - g_k / d) for a_k, g_k in zip(survival.terms, g_terms)]
 
     best_lo = max(lo for lo, _ in intervals)
@@ -554,7 +577,7 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
             "escape-bound intervals do not intersect; this indicates a bug"
         )
     return EscapeBounds(intervals=tuple(intervals), best=(best_lo, best_hi),
-                        g_sequence=ExactSequence(tuple(g_terms), "g_functional",
+                        g_sequence=ExactSequence(g_terms, "g_functional",
                                                  survival.model_hash, n),
                         survival=survival, excursion=excursion)
 

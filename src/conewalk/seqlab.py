@@ -6,6 +6,12 @@ in n. We synthesize the minimal recurrence on a fitting window and verify it
 on held-out terms, both exactly in integer arithmetic on the terms scaled by
 the lcm of their denominators; diagnostics (decay rate and subexponential
 factor) are floating point.
+
+A certificate runs first: a recurrence of order <= k on a_0..a_2k is a null
+vector of the Hankel matrix [a_{i+j}], i, j <= k, so when that matrix is
+nonsingular mod one prime below 2^31 (int64 elimination) there is none, and
+the synthesis is skipped.  A matrix singular mod p proves nothing, and the
+synthesis runs.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .errors import (
 )
 
 MIN_EXTRA_TERMS = 8
+HANKEL_PRIME = 2 ** 31 - 1  # a product of two residues fits an int64
 MIN_RATE_TERMS = 32  # fewest terms estimate_rho fits a decay rate on
 ROOT_CLUSTER_TOL = 1e-7
 
@@ -73,6 +80,26 @@ def _connection_polynomial(seq: Sequence[int], scale: int) -> tuple[list[int], i
             shift += 1
     cur += [0] * (length + 1 - len(cur))
     return cur[:length + 1], length
+
+
+def _hankel_nonsingular(seq: Sequence[int], k: int) -> bool:
+    """Whether the (k+1) x (k+1) Hankel matrix [a_{i+j}] of the integer terms
+    a_0..a_2k is nonsingular mod HANKEL_PRIME, by Gaussian elimination on
+    int64 residues.  A matrix nonsingular mod p is nonsingular over Z."""
+    p, size = HANKEL_PRIME, k + 1
+    residues = np.array([a % p for a in seq[:2 * size - 1]], dtype=np.int64)
+    h = residues[np.add.outer(np.arange(size), np.arange(size))]
+    for col in range(size):
+        rows = np.flatnonzero(h[col:, col])
+        if not rows.size:
+            return False
+        if rows[0]:
+            h[[col, col + rows[0]]] = h[[col + rows[0], col]]
+        inverse = pow(int(h[col, col]), p - 2, p)
+        below = h[col + 1:, col + 1:]  # a view: the Schur complement in place
+        below -= (h[col + 1:, col] * inverse % p)[:, None] * h[col, col + 1:] % p
+        below %= p
+    return True
 
 
 def berlekamp_massey(seq: Sequence[Fraction]) -> list[Fraction]:
@@ -188,11 +215,17 @@ def guess_recurrence(terms: Sequence[Fraction], k_max: int):
     """Minimal linear recurrence fitted on 2*k_max terms, verified on the rest.
 
     Returns a RecurrenceModel, or NoRecurrenceUpTo when no recurrence of
-    order <= k_max reproduces every held-out term exactly.
+    order <= k_max reproduces every held-out term exactly.  When the Hankel
+    matrix of a_0..a_2k (k = k_max) is nonsingular mod a prime, no recurrence
+    of order <= k_max holds even on those terms, so the answer is
+    NoRecurrenceUpTo without Berlekamp-Massey: a candidate fitted on
+    a_0..a_(2k-1) fails by a_2k.
     """
     terms = [Fraction(t) for t in terms]
     require_terms(len(terms), k_max)
     seq, scale = _integer_terms(terms)
+    if _hankel_nonsingular(seq, k_max):
+        return NoRecurrenceUpTo(order_cap=k_max, terms_used=len(terms))
     poly, order = _connection_polynomial(seq[: 2 * k_max], scale)
     if order > k_max or not _annihilates(poly, seq, order):
         return NoRecurrenceUpTo(order_cap=k_max, terms_used=len(terms))

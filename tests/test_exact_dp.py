@@ -463,6 +463,11 @@ class TestTiltedFunctional:
         func = tilted_survival_functional(exterior_2d, an.t0, 0)
         assert func[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("t0", [(0.3,), (0.3, 0.2, 0.1)], ids=["short", "long"])
+    def test_t0_of_the_wrong_length_rejected(self, exterior_2d, t0):
+        with pytest.raises(ConewalkError, match="dimension 2"):
+            tilted_survival_functional(exterior_2d, t0, 5)
+
 
 class TestBoundaryExitG:
     """g(start), the first term of the bounds' g-functional."""
@@ -530,8 +535,15 @@ class TestEscapeBounds:
         mod_2 = walk({(1, 0): F(1, 3), (0, 1): F(1, 3), (-1, 0): F(1, 6),
                       (0, -1): F(1, 6)}, (1, 0))
         mod_3 = walk({(1, 0): F(2, 5), (0, 1): F(2, 5), (-1, -1): F(1, 5)}, (2, 0))
+        # g_0 = 2/3 and g_1 = 3/5 over classes mod 4, from (1, 1): the exits
+        # read both ends of each weight vector, g_i^0 where the walk leaves
+        # and g_i^(n + 2) where (1, -1) or (-1, 1) leaves from the far edge
+        skewed = walk({(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
+                       (-1, -1): F(3, 40)}, (1, 1))
+        assert exact_dp._gammas(skewed) == {0: F(2, 3), 1: F(3, 5)}
+        assert exact_dp._modulus(skewed) == 4
         for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit,
-                      mod_2, mod_3):
+                      mod_2, mod_3, skewed):
             bounds = escape_probability_bounds(model, 12)
             layers = list(survival_layers(model, 12))
             gammas = exact_dp._gammas(model)

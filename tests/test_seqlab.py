@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,11 @@ from conewalk.errors import (
     NonpositiveTerm,
     RateOutOfRange,
 )
+from conewalk import seqlab
 from conewalk.seqlab import (
+    HANKEL_PRIME,
     _connection_polynomial,
+    _hankel_nonsingular,
     _integer_terms,
     berlekamp_massey,
     detect_period,
@@ -232,6 +237,88 @@ class TestGuessRecurrence:
         # agrees with order 1 on the window, breaks on the held-out tail
         seq = [F(2) ** k for k in range(20)] + [F(999)]
         assert isinstance(guess_recurrence(seq, 5), NoRecurrenceUpTo)
+
+
+def bm_only():
+    """guess_recurrence with the Hankel certificate off: Berlekamp-Massey
+    decides every sequence."""
+    return mock.patch.object(seqlab, "_hankel_nonsingular", return_value=False)
+
+
+def spy_bm():
+    return mock.patch.object(seqlab, "_connection_polynomial",
+                             wraps=seqlab._connection_polynomial)
+
+
+class TestHankelCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_matches_the_exact_determinant(self, k, data):
+        # |det| <= (3 * 2)^4 < p, so it is nonzero over Z iff nonzero mod p, and
+        # a float determinant of so small an integer matrix rounds to it exactly
+        seq = data.draw(st.lists(st.integers(-3, 3), min_size=2 * k + 2, max_size=2 * k + 4))
+        det = round(np.linalg.det([[float(seq[i + j]) for j in range(k + 1)]
+                                   for i in range(k + 1)]))
+        assert _hankel_nonsingular(seq, k) == (det != 0)
+
+    def test_known_matrices(self):
+        # [[0, 1], [1, 0]] is nonsingular; a_1..a_3 would give [[1, 0], [0, 0]]
+        assert _hankel_nonsingular([0, 1, 0, 0], 1)
+        assert not _hankel_nonsingular([1, 0, 0, 5], 1)
+        # singular with a pivot of 3, whose inverse the elimination needs
+        assert not _hankel_nonsingular([3, 6, 12, 24], 1)
+        assert _hankel_nonsingular([3, 6, 13, 24], 1)
+        # entries past p are reduced: [[p, 1], [1, 1]] is [[0, 1], [1, 1]] mod p
+        assert _hankel_nonsingular([HANKEL_PRIME, 1, 1, 0], 1)
+
+    def test_singular_mod_p_alone_proves_nothing(self):
+        # det [[p, 0], [0, 1]] = p: nonsingular over Z, singular mod p, so
+        # Berlekamp-Massey decides
+        seq = [F(HANKEL_PRIME), F(0), F(1)] + [F(n * n + 7) for n in range(8)]
+        assert not _hankel_nonsingular(_integer_terms(seq)[0], 1)
+        with spy_bm() as bm:
+            assert guess_recurrence(seq, 1) == NoRecurrenceUpTo(1, len(seq))
+        assert bm.called
+
+    def test_recurrences_reach_berlekamp_massey(self, trapped_2d):
+        for terms, k_max, order in ((fibonacci(30), 5, 2),
+                                    (survival_sequence(trapped_2d, 40).terms, 8, 1)):
+            assert not _hankel_nonsingular(_integer_terms(terms)[0], k_max)
+            with spy_bm() as bm:
+                outcome = guess_recurrence(terms, k_max)
+            assert bm.called
+            assert outcome.order == order
+
+    def test_leading_zeros_reach_berlekamp_massey(self):
+        # k + 1 leading zeros make the first row of the Hankel matrix zero
+        k_max = 4
+        seq = [F(0)] * (k_max + 1) + [F(n * n + 1, n + 2) for n in range(16)]
+        assert not _hankel_nonsingular(_integer_terms(seq)[0], k_max)
+        with spy_bm() as bm:
+            outcome = guess_recurrence(seq, k_max)
+        assert bm.called
+        assert outcome == NoRecurrenceUpTo(k_max, len(seq))
+        with bm_only():
+            assert guess_recurrence(seq, k_max) == outcome
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), terms_strategy, st.integers(0, 4))
+    def test_same_outcome_as_berlekamp_massey(self, zeros, noise, k_max):
+        seq = [F(0)] * zeros + noise + [F(1)] * (2 * k_max + 8)
+        outcome = guess_recurrence(seq, k_max)
+        with bm_only():
+            assert guess_recurrence(seq, k_max) == outcome
+
+    def test_quarter_plane_survival_is_certified(self, five_step_model, exterior_2d):
+        for model, n in ((five_step_model, 120), (exterior_2d, 250)):
+            terms = survival_sequence(model, n).terms
+            assert _hankel_nonsingular(_integer_terms(terms)[0], 30)
+            with spy_bm() as bm:
+                outcome = guess_recurrence(terms, 30)
+            assert not bm.called
+            assert outcome == NoRecurrenceUpTo(30, n + 1)
+            with bm_only():
+                assert guess_recurrence(terms, 30) == outcome
 
 
 class TestExponentialPolynomial:
