@@ -14,6 +14,18 @@ denominator), which keeps the arithmetic exact while avoiding per-operation
 gcd reduction, and group their steps by weight so each weight scales the
 stored classes once; the tilted functional uses ``float64``.
 
+Where the integer weights are an exponential family on the step lattice,
+c_v = lambda * psi(v) with psi multiplicative (``lattice_tilt``: the exact
+lattice form of the Laplace tilt), every path from the start to x in k
+steps has the same weight w_k(x) = lambda^k psi(x - start), an integer.
+Layer k is then w_k N_k with N_k the unit-weight path count, so the exact
+stream runs on unit weights: no step scales a class, and a numerator grows
+by log2 |S| bits a step, not log2 D.  The readouts apply w_k where they
+read.  Within class r, w_k(r + m*j) is w_k(r) times one geometric factor
+per axis, so a slab is weighed by one integer vector per axis over one
+fixed scale (``_contract``), as the float functional and g are.  Uniform
+walks and walks whose weights are no such family keep their weights.
+
 ``_read`` reads survival, the excursion and the escape bounds' g-functional
 off one pass, and ``survival_pass`` is the one call for all three.  It
 carries the survival total and the g-functional from layer to layer by
@@ -57,6 +69,7 @@ from .errors import (
     UnsupportedCone,
 )
 from .laplace import DriftClass, classify_drift, tilt_distribution
+from .lattice_tilt import LatticeTilt, lattice_tilt
 from .model import WalkModel, _echelon_pivots, excursion_target
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
@@ -139,17 +152,19 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     most m^(d-1) residue classes (the cosets of m Z^d in the step-difference
     lattice) of the boxes' hull, each about 1/m^d of it.  The step into layer
     k holds layer k - 1, its product ``c * layer`` with one weight unless
-    every weight is 1, and layer k; ``+=`` on a strided slice buffers up to
-    ``np.getbufsize()`` entries of each of its three operands.  The escape
-    bounds keep four Fractions (eight ints) per horizon: a_k, g_k and the two
-    interval ends.  Every entry costs an 8-byte slot.  An int costs a header
-    with allocator rounding (about 40 bytes) and 4 bytes per 30 bits of a
-    numerator below D^k on top, except in the entries outside the keep boxes
-    or past the hyperplane sum(x - start) = k * max_v sum(v), which no walk
-    reaches in k steps: they all point at the cached int 0.  A float entry
-    is its slot alone: the tilted functional's readout, a float sum that is
-    not exactly rounded, contracts each class with one weight vector per
-    axis, so it holds nothing the size of the box.
+    every weight the kernel runs (``_kernel_steps``) is 1, and layer k;
+    ``+=`` on a strided slice buffers up to ``np.getbufsize()`` entries of
+    each of its three operands.  The escape bounds keep four Fractions (eight
+    ints) per horizon: a_k, g_k and the two interval ends.  Every entry costs
+    an 8-byte slot.  An int costs a header with allocator rounding (about 40
+    bytes) and 4 bytes per 30 bits of a numerator below C^k on top, C the sum
+    of the kernel's weights (D, or |S| on a tilted walk), except in the
+    entries outside the keep boxes or past the hyperplane
+    sum(x - start) = k * max_v sum(v), which no walk reaches in k steps: they
+    all point at the cached int 0.  A float entry is its slot alone: the
+    tilted functional's readout, a float sum that is not exactly rounded,
+    contracts each class with one weight vector per axis, so it holds nothing
+    the size of the box.
     With no int rounding to cover them, a float step charges 64 KiB for the
     interpreter's own objects instead: index tuples, slices and the free
     lists that keep them.  The peak is the largest step, the last one when
@@ -158,9 +173,11 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     m, d, start = _modulus(model), model.dimension, model.start
     classes = m ** (d - 1)
     reach = max(0, *(sum(v) for v, _ in model.dist.steps))
-    bits = max(math.log2(model.dist.common_denominator), 1.0)
-    steps, _den = model.dist.integer_weights()
-    held = 2 if dtype is not object or any(c != 1 for _, c in steps) else 1
+    held, bits = 2, 0.0
+    if dtype is object:
+        steps = _kernel_steps(model, lattice_tilt(model))
+        bits = max(math.log2(sum(c for _, c in steps)), 1.0)
+        held = 1 if all(c == 1 for _, c in steps) else 2
 
     def entries(k: int):
         """The stored and the live entries of layer k."""
@@ -221,6 +238,33 @@ def _modulus(model: WalkModel) -> int:
     """The modulus m of the residue classes a layer stores: the index of the
     step-difference lattice."""
     return _lattice_index([v for v, _ in model.dist.steps])
+
+
+def _kernel_steps(model: WalkModel, tilt: LatticeTilt | None) -> list:
+    """The integer steps the exact kernel runs: weight 1 each on a tilted
+    walk, else the weights over D with equal weights made adjacent, each in
+    its first-appearance order, so ``_advance`` scales a class once per
+    weight.  Integer sums do not depend on the order of the steps."""
+    steps, _den = model.dist.integer_weights()
+    if tilt is not None:
+        return [(v, 1) for v, _ in steps]
+    first_seen = {}
+    for _, c in steps:
+        first_seen.setdefault(c, len(first_seen))
+    return sorted(steps, key=lambda step: first_seen[step[1]])
+
+
+def _contract(a: np.ndarray, vectors):
+    """``a`` contracted with one weight vector per axis, each cut to the
+    length of its axis; a None vector sums its axis.  The summed axes go
+    first, then the weighted ones, last axis first."""
+    summed = tuple(i for i, w in enumerate(vectors) if w is None)
+    if summed:
+        a = a.sum(axis=summed)
+    for w in vectors[::-1]:
+        if w is not None:
+            a = a @ w[:a.shape[-1]]
+    return a
 
 
 def _grow(steps, dimension: int) -> list[int]:
@@ -351,28 +395,38 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
 
 
 def _integer_layers(model: WalkModel, n: int, keep=None) -> Iterator[dict]:
-    """Yield layers 0..n of integer numerators over D^k.
-
-    Integer sums do not depend on the order of the steps, so equal weights
-    are made adjacent here, each in its first-appearance order.  Float layers
-    keep the caller's order, which fixes the order of every float sum.
+    """Yield layers 0..n of integer numerators over D^k, or on a tilted walk
+    of the unit-weight path counts N_k, whose numerators are w_k N_k (see
+    ``_masses``).  Float layers keep the caller's order of the steps, which
+    fixes the order of every float sum.
     """
-    steps, _den = model.dist.integer_weights()
-    first_seen = {}
-    for _, c in steps:
-        first_seen.setdefault(c, len(first_seen))
-    steps.sort(key=lambda step: first_seen[step[1]])
-    return _layers(model, n, steps, object, keep)
+    return _layers(model, n, _kernel_steps(model, lattice_tilt(model)), object, keep)
+
+
+def _masses(tilt: LatticeTilt | None, k: int, layer: dict) -> dict:
+    """Layer k of ``_integer_layers`` as the numerators over D^k of the
+    confined masses: w_k N_k entry by entry on a tilted walk."""
+    if tilt is None:
+        return layer
+    out = {}
+    for r, a in layer.items():
+        vectors, scale = tilt.axis_weights(a.shape)
+        weight = math.prod(np.ix_(*[np.ones(s, dtype=object) if w is None else w
+                                    for w, s in zip(vectors, a.shape)]))
+        num, den = tilt.weight(k, r)
+        out[r] = a * weight * num // (den * scale)
+    return out
 
 
 def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
     """Exact state distributions P^x(tau>k, S_k = .) for k = 0..n."""
     den = model.dist.common_denominator
     m = _modulus(model)
+    tilt = lattice_tilt(model)
     for k, layer in enumerate(_integer_layers(model, n)):
         scale = den ** k
         masses = {}
-        for r, a in layer.items():
+        for r, a in _masses(tilt, k, layer).items():
             for j in map(tuple, np.argwhere(a).tolist()):
                 masses[tuple(c + m * i for c, i in zip(r, j))] = Fraction(a[j], scale)
         yield StateLayer(index=k, masses=dict(sorted(masses.items())))
@@ -405,28 +459,35 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
     its term k being value / (D^k s), with ``exit_sum(slab, corner)`` the
     integer s * sum_c slab[c] f(corner + m*c) over one slab of
     ``_exit_slabs``; one sweep over each step's slabs serves every
-    functional.  Survival is f = 1 over s = 1.  So the terms need layer k only
-    where it can still exit by step n or reach the target: the pass keeps the
-    band and the target's corner of ``_keep``.
+    functional.  Survival is f = 1 over s = 1.  On a tilted walk the layer
+    holds N_k and layer_k[x] = w_k(x) N_k(x): ``exit_sum`` weighs entry c by
+    the integer ``LatticeTilt.axis_weights``, over their scale ``unit``, and
+    c_v w_k(x) = w_(k+1)(corner) at the slab's first entry x gives the rest,
+    an exact quotient of ints.  So the terms need layer k only where it can
+    still exit by step n or reach the target: the pass keeps the band and the
+    target's corner of ``_keep``.
     """
     den = model.dist.common_denominator
     steps, _den = model.dist.integer_weights()
     m = _modulus(model)
+    tilt = lattice_tilt(model)
     readouts = []
     if target is not None:
-        target, readout = _excursion_readout(model, target)
+        target, readout = _excursion_readout(model, target, tilt)
         readouts.append(readout)
     # the call checks the horizon and the memory budget, so before g's weights
     layers = _integer_layers(model, n, _keep(model, target))
-    carried = [(1, 1, lambda slab, _corner: slab.sum())]
+    axes, unit = ([None] * model.dimension, 1) if tilt is None else tilt.axis_weights(
+        _class_shape(_box(model, n), [0] * model.dimension, m))
+    carried = [(1, 1, lambda slab, _corner: _contract(slab, axes))]
     if gammas is not None:
-        carried.append(_g_functional(model, n, gammas, m))
+        carried.append(_g_functional(model, n, gammas, m, axes))
     values = [start for start, _, _ in carried]
     sequences = [[] for _ in range(len(carried) + len(readouts))]
     for k, layer in enumerate(layers):
         scale = den ** k
         terms = [Fraction(value, scale * s) for value, (_, s, _) in zip(values, carried)]
-        terms += [Fraction(readout(layer), scale) for readout in readouts]
+        terms += [Fraction(readout(k, layer), scale) for readout in readouts]
         for sequence, term in zip(sequences, terms):
             sequence.append(term)
         if k == n:
@@ -434,7 +495,8 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
         exits = [0] * len(carried)
         for v, c in steps:
             for slab, corner in _exit_slabs(layer, v, m):
-                exits = [e + c * exit_sum(slab, corner)
+                num, div = (c, 1) if tilt is None else tilt.weight(k + 1, corner)
+                exits = [e + num * exit_sum(slab, corner) // (div * unit)
                          for e, (_, _, exit_sum) in zip(exits, carried)]
         values = [den * value - e for value, e in zip(values, exits)]
     h = model.model_hash()
@@ -445,18 +507,18 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
             tuple(g_terms[0]) if g_terms else None)
 
 
-def _g_functional(model: WalkModel, n: int, gammas: dict, m: int):
+def _g_functional(model: WalkModel, n: int, gammas: dict, m: int, axes):
     """The carry of g(x) = sum_i g_i^(x_i + 1) for ``_read`` to horizon n:
     (s g(start), s, exit_sum) over the scale s = prod_i p_i^E_i, where
     g_i = q_i/p_i and E_i is the box side of layer n.
 
     No exponent x_i + 1 of a state that layer k < n holds or steps to exceeds
     E_i, so s g_i^t = w_i[t] is an integer for t = 0..E_i:
-    w_i[t] = q_i^t p_i^(E_i - t) s / p_i^E_i.  A slab's sum is then each
-    coordinate-i marginal dotted with one slice of w_i, its entries m apart
-    from the exit corner.
+    w_i[t] = q_i^t p_i^(E_i - t) s / p_i^E_i.  A slab's sum is then, per axis
+    i, the slab contracted with one slice of w_i, its entries m apart from the
+    exit corner, on axis i and with the tilt's ``axes`` (summed where None)
+    on the others; axis i weighs by both.
     """
-    d = model.dimension
     box = _box(model, n)
     scale = math.prod(g.denominator ** box[i] for i, g in gammas.items())
     weights = {}
@@ -467,23 +529,33 @@ def _g_functional(model: WalkModel, n: int, gammas: dict, m: int):
                               dtype=object)
 
     def exit_sum(slab: np.ndarray, corner) -> int:
-        return sum(slab.sum(axis=tuple(j for j in range(d) if j != i))
-                   @ w[corner[i] + 1::m][:slab.shape[i]] for i, w in weights.items())
+        total = 0
+        for i, w in weights.items():
+            w = w[corner[i] + 1::m][:slab.shape[i]]
+            if axes[i] is not None:
+                w = w * axes[i][:len(w)]
+            total += _contract(slab, axes[:i] + [w] + axes[i + 1:])
+        return total
 
     return sum(w[model.start[i] + 1] for i, w in weights.items()), scale, exit_sum
 
 
-def _excursion_readout(model: WalkModel, y):
+def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt | None):
     """Check an excursion target y; return it as a tuple with the readout of
-    entry y // m of class y mod m, which is 0 where that class is not stored
-    or y lies outside the box."""
+    entry y // m of class y mod m off layer k, weighed by w_k(y) on a tilted
+    walk, which is 0 where that class is not stored or y lies outside the
+    box."""
     y = excursion_target(model, y)
     m = _modulus(model)
     r, j = tuple(c % m for c in y), tuple(c // m for c in y)
 
-    def readout(layer: dict):
+    def readout(k: int, layer: dict):
         a = layer.get(r)
-        return a[j] if a is not None and all(c < s for c, s in zip(j, a.shape)) else 0
+        count = a[j] if a is not None and all(c < s for c, s in zip(j, a.shape)) else 0
+        if tilt is None or not count:
+            return count
+        num, den = tilt.weight(k, y)
+        return count * num // den
 
     return y, readout
 
@@ -496,10 +568,10 @@ def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n, off
     a pass that keeps only the states that can still reach y."""
-    y, readout = _excursion_readout(model, y)
+    y, readout = _excursion_readout(model, y, lattice_tilt(model))
     den = model.dist.common_denominator
     layers = _integer_layers(model, n, _keep(model, y, band=False))
-    terms = tuple(Fraction(readout(layer), den ** k) for k, layer in enumerate(layers))
+    terms = tuple(Fraction(readout(k, layer), den ** k) for k, layer in enumerate(layers))
     return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
 
 
@@ -509,8 +581,8 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     Multiplying term k by rho^k e^{<t0,x>} reconstructs a_k; this is the
     floating-point cross-check of the exact sequences.  The weight
     e^{-<t0,x>} factors over the axes, so each class is contracted with one
-    weight vector per axis, last axis first, and the classes are added up:
-    a float sum in a fixed order, not an exactly rounded one.
+    weight vector per axis, last axis first (``_contract``), and the classes
+    are added up: a float sum in a fixed order, not an exactly rounded one.
     """
     if len(t0) != model.dimension:
         raise ConewalkError(f"t0 has {len(t0)} coordinates; the walk has "
@@ -522,9 +594,7 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     def readout(layer: dict) -> float:
         total = 0.0
         for r, a in layer.items():
-            for w, c in zip(weights[::-1], r[::-1]):
-                a = a @ w[c::m][:a.shape[-1]]
-            total += float(a)
+            total += float(_contract(a, [w[c::m] for w, c in zip(weights, r)]))
         return total
 
     return [readout(layer) for layer in _layers(model, n, tilted, float)]

@@ -37,8 +37,8 @@ ROOT_CLUSTER_TOL = 1e-7
 
 
 def _integer_terms(seq: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The terms scaled by M, the lcm of their denominators, and M."""
-    seq = [Fraction(s) for s in seq]
+    """The terms, ints or Fractions, scaled by M, the lcm of their
+    denominators, and M."""
     scale = math.lcm(*(s.denominator for s in seq))
     return [s.numerator * (scale // s.denominator) for s in seq], scale
 
@@ -109,7 +109,7 @@ def berlekamp_massey(seq: Sequence[Fraction]) -> list[Fraction]:
     algorithm over the rationals returns, also on a window whose minimal
     annihilator is not unique.
     """
-    poly, _length = _connection_polynomial(*_integer_terms(seq))
+    poly, _length = _connection_polynomial(*_integer_terms([Fraction(s) for s in seq]))
     return [Fraction(-c, poly[0]) for c in poly[1:]]
 
 
@@ -126,7 +126,7 @@ def recurrence_holds(terms: Sequence[Fraction], coeffs: Sequence[Fraction],
     coeffs = [Fraction(c) for c in coeffs]
     lead = math.lcm(*(c.denominator for c in coeffs))
     poly = [lead] + [-c.numerator * (lead // c.denominator) for c in coeffs]
-    seq, _scale = _integer_terms(terms)
+    seq, _scale = _integer_terms([Fraction(t) for t in terms])
     return _annihilates(poly, seq, len(coeffs) if start is None else start)
 
 

@@ -23,6 +23,7 @@ from conewalk import (
 )
 from conewalk import exact_dp
 from conewalk.exact_dp import _dp_bytes
+from conewalk.lattice_tilt import lattice_tilt
 from conewalk.errors import (
     ConewalkError,
     DriftNotInterior,
@@ -96,6 +97,15 @@ def _scatter(layer, shape, m, dtype):
         assert view.shape == a.shape
         view[...] = a
     return box
+
+
+def _weighted_layers(model, n):
+    """Layers 0..n of ``_integer_layers`` as the numerators over D^k of the
+    confined masses, by the readout ``survival_layers`` uses: w_k N_k on a
+    tilted walk."""
+    tilt = lattice_tilt(model)
+    return (exact_dp._masses(tilt, k, layer)
+            for k, layer in enumerate(exact_dp._integer_layers(model, n)))
 
 
 def _reference_layers(model, n, steps, dtype):
@@ -245,7 +255,7 @@ class TestKernel:
                       offset, KREWERAS, DIAGONAL, dying):
             den = model.dist.common_denominator
             layer_sums = [F(sum(a.sum() for a in layer.values()), den ** k)
-                          for k, layer in enumerate(exact_dp._integer_layers(model, 10))]
+                          for k, layer in enumerate(_weighted_layers(model, 10))]
             survival = list(survival_sequence(model, 10).terms)
             assert survival == layer_sums
         assert survival[2] > 0 and survival[3:] == [0] * 8
@@ -261,7 +271,7 @@ class TestKernel:
             m = exact_dp._modulus(model)
             for weights, dtype, layers in (
                     (tilted, float, exact_dp._layers(model, n, tilted, float)),
-                    (steps, object, exact_dp._integer_layers(model, n))):
+                    (steps, object, _weighted_layers(model, n))):
                 reference = _reference_layers(model, n, weights, dtype)
                 for classes, ref in zip(layers, reference, strict=True):
                     layer = _scatter(classes, ref.shape, m, dtype)
@@ -348,11 +358,12 @@ class TestKeepBoxes:
                         want = full[x] if k == 0 or self.kept(x, reach, target, band) else 0
                         assert pruned[x] == want, (model, target, band, k, x)
 
+            masses = list(_weighted_layers(model, n))
             totals = [F(sum(a.sum() for a in layer.values()), den ** k)
-                      for k, layer in enumerate(reference)]
+                      for k, layer in enumerate(masses)]
             at_target = [F(_box_of(layer, exact_dp._box(model, k), m)[target], den ** k)
                          if all(c < s for c, s in zip(target, exact_dp._box(model, k)))
-                         else F(0) for k, layer in enumerate(reference)]
+                         else F(0) for k, layer in enumerate(masses)]
             survival, excursion, bounds = exact_dp.survival_pass(model, n, target)
             assert list(survival.terms) == totals
             assert list(excursion.terms) == at_target
@@ -365,7 +376,7 @@ class TestKeepBoxes:
                           for pos in itertools.product(*map(range, layer.shape))
                           for i, gamma in gammas.items()), F(0))
                      for k, layer in ((k, _box_of(layer, exact_dp._box(model, k), m))
-                                      for k, layer in enumerate(reference))]
+                                      for k, layer in enumerate(masses))]
                 assert list(bounds.g_sequence.terms) == g
                 with_bounds += 1
         assert with_bounds >= 3
@@ -613,13 +624,18 @@ class TestMemoryBudget:
                                            octant_3d, simple_walk_2d):
         # survival and the escape bounds keep the exit band, the excursion the
         # states that can reach its target, and the float tilted functional
-        # the whole box.  The exterior's integer weights 1, 1, 2, 2 keep a
-        # scaled layer alive through a step; the exterior and the octant store
-        # half the box.  Two walks have long negative steps: the box grows only
-        # by the largest positive coordinate of a step.
+        # the whole box.  The exterior's integer weights 1, 1, 2, 2 are tilted
+        # to unit weights, so no scaled layer lives through a step, while
+        # five-step at weights 1, 1, 1, 1, 2 is no exponential family and keeps
+        # one; the exterior and the octant store half the box.  Two walks have
+        # long negative steps: the box grows only by the largest positive
+        # coordinate of a step.
         long_back = walk({(1, 0): F(1, 3), (0, 1): F(1, 3),
                           (-3, 0): F(1, 6), (0, -3): F(1, 6)}, (0, 0))
         diagonal_back = walk({(1, 0): F(3, 8), (0, 1): F(3, 8), (-5, -5): F(1, 4)}, (0, 0))
+        heavy_ne = walk({(1, 0): F(1, 6), (0, -1): F(1, 6), (-1, 0): F(1, 6),
+                         (0, 1): F(1, 6), (1, 1): F(1, 3)}, (0, 0))
+        assert lattice_tilt(heavy_ne) is None
         t_ext = analyze(exterior_2d.dist, exterior_2d.cone).t0
         t_oct = analyze(octant_3d.dist, octant_3d.cone).t0
         band = exact_dp._keep
@@ -633,6 +649,7 @@ class TestMemoryBudget:
                 (long_back, 60, (survival_sequence,), band(long_back), object),
                 (long_back, 200, (survival_sequence,), band(long_back), object),
                 (diagonal_back, 60, (survival_sequence,), band(diagonal_back), object),
+                (heavy_ne, 60, (survival_sequence,), band(heavy_ne), object),
                 (simple_walk_2d, 120, (lambda model, n: excursion_sequence(model, (1, 1), n),),
                  band(simple_walk_2d, (1, 1), band=False), object),
                 (exterior_2d, 60, (lambda model, n: tilted_survival_functional(model, t_ext, n),),
@@ -664,8 +681,10 @@ class TestMemoryBudget:
         # and the live (int) entries of layer k; R = n - k.  Five-step (m = 1,
         # every weight 1/5) reaches the far corner of its box [0, k]^2 by NE
         # steps, so every entry it keeps is live.  The exterior walk (m = 2,
-        # two classes of ceil((k+1)/2)^2, weights 1, 1, 2, 2 over 6) cannot
-        # pass x + y = k: tri(k) = (k+1)(k+2)/2 of the (k+1)^2 points.
+        # two classes of ceil((k+1)/2)^2) cannot pass x + y = k:
+        # tri(k) = (k+1)(k+2)/2 of the (k+1)^2 points.  Its weights 1, 1, 2, 2
+        # over 6 are tilted to unit weights, so its layers count paths below
+        # 4^k and no step holds a scaled copy.
         n, band = 60, exact_dp._keep
 
         def tri(j):
@@ -702,9 +721,9 @@ class TestMemoryBudget:
             pytest.approx(peak(five_band, 1, 5))
         assert _dp_bytes(five_step_model, n, band(five_step_model, (0, 0), band=False)) == \
             pytest.approx(peak(five_cut, 1, 5))
-        assert _dp_bytes(exterior_2d, n) == pytest.approx(peak(exterior, 2, 6))
+        assert _dp_bytes(exterior_2d, n) == pytest.approx(peak(exterior, 1, 4))
         assert _dp_bytes(exterior_2d, n, band(exterior_2d)) == \
-            pytest.approx(peak(exterior_band, 2, 6))
+            pytest.approx(peak(exterior_band, 1, 4))
         # floats: the same slots, the 64 KiB for the interpreter and no ints;
         # the whole box peaks at its last step
         (s0, _), (s, _) = exterior(n - 1), exterior(n)
