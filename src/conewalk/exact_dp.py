@@ -14,17 +14,16 @@ denominator), which keeps the arithmetic exact while avoiding per-operation
 gcd reduction, and group their steps by weight so each weight scales the
 stored classes once; the tilted functional uses ``float64``.
 
-Where the integer weights are an exponential family on the step lattice,
-c_v = lambda * psi(v) with psi multiplicative (``lattice_tilt``: the exact
-lattice form of the Laplace tilt), every path from the start to x in k
-steps has the same weight w_k(x) = lambda^k psi(x - start), an integer.
-Layer k is then w_k N_k with N_k the unit-weight path count, so the exact
-stream runs on unit weights: no step scales a class, and a numerator grows
-by log2 |S| bits a step, not log2 D.  The readouts apply w_k where they
-read.  Within class r, w_k(r + m*j) is w_k(r) times one geometric factor
-per axis, so a slab is weighed by one integer vector per axis over one
-fixed scale (``_contract``), as the float functional and g are.  Uniform
-walks and walks whose weights are no such family keep their weights.
+Every walk has a lattice tilt w_k(x), the weight of each path from the start
+to x in k steps (``lattice_tilt``: the exact lattice form of the Laplace
+tilt), which is the identity w_k = 1 unless the integer weights are an
+exponential family on the step lattice.  The kernel runs the weights
+c_v / w_1(start + v), and layer k holds N_k with numerators w_k N_k: on a
+family, N_k counts unit-weight paths, so no step scales a class and a
+numerator grows by log2 |S| bits a step, not log2 D.  The readouts apply w_k
+where they read.  Within class r, w_k(r + m*j) is w_k(r) times one geometric
+factor per axis, so a slab is weighed by one integer vector per axis over
+one fixed scale (``_contract``), as the float functional and g are.
 
 ``_read`` reads survival, the excursion and the escape bounds' g-functional
 off one pass, and ``survival_pass`` is the one call for all three.  It
@@ -131,8 +130,11 @@ class EscapeBounds:
 
 
 def _mem_budget() -> int:
-    env = os.environ.get("CONEWALK_MEM_BUDGET")
-    return int(env) if env else DEFAULT_MEM_BUDGET
+    env = os.environ.get("CONEWALK_MEM_BUDGET") or str(DEFAULT_MEM_BUDGET)
+    if not (env.isascii() and env.isdigit()):
+        raise ConewalkError(f"CONEWALK_MEM_BUDGET must be a whole number of bytes, "
+                            f"got {env!r}")
+    return int(env)
 
 
 def _below_hyperplane(box, start, reach: int) -> int:
@@ -144,21 +146,21 @@ def _below_hyperplane(box, start, reach: int) -> int:
                if top - sum(over) >= 0)
 
 
-def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
-    """Predicted peak memory of a DP pass to horizon n that keeps the boxes
-    ``keep`` (see ``_keep``; None keeps the whole box), in bytes.
+def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float:
+    """Predicted peak memory, in bytes, of a DP pass to horizon n on ``steps``
+    that keeps the boxes ``keep`` (see ``_keep``; None keeps the whole box).
 
     Layer k stores each class in the smallest array that holds its boxes: at
     most m^(d-1) residue classes (the cosets of m Z^d in the step-difference
     lattice) of the boxes' hull, each about 1/m^d of it.  The step into layer
     k holds layer k - 1, its product ``c * layer`` with one weight unless
-    every weight the kernel runs (``_kernel_steps``) is 1, and layer k;
+    every weight of ``steps`` is 1, and layer k;
     ``+=`` on a strided slice buffers up to ``np.getbufsize()`` entries of
     each of its three operands.  The escape bounds keep four Fractions (eight
     ints) per horizon: a_k, g_k and the two interval ends.  Every entry costs
     an 8-byte slot.  An int costs a header with allocator rounding (about 40
     bytes) and 4 bytes per 30 bits of a numerator below C^k on top, C the sum
-    of the kernel's weights (D, or |S| on a tilted walk), except in the
+    of the kernel's weights (|S| on an exponential family), except in the
     entries outside the keep boxes or past the hyperplane
     sum(x - start) = k * max_v sum(v), which no walk reaches in k steps: they
     all point at the cached int 0.  A float entry is its slot alone: the
@@ -175,7 +177,6 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     reach = max(0, *(sum(v) for v, _ in model.dist.steps))
     held, bits = 2, 0.0
     if dtype is object:
-        steps = _kernel_steps(model, lattice_tilt(model))
         bits = max(math.log2(sum(c for _, c in steps)), 1.0)
         held = 1 if all(c == 1 for _, c in steps) else 2
 
@@ -203,20 +204,20 @@ def _dp_bytes(model: WalkModel, n: int, keep=None, dtype=object) -> float:
     return peak
 
 
-def _budget_states(model: WalkModel, n: int, keep=None, dtype=object) -> None:
+def _budget_states(model: WalkModel, n: int, steps, keep=None, dtype=object) -> None:
     """Raise MemoryBudgetExceeded, with the largest horizon that fits, when
     the pass would not fit the budget.  Keeping the whole box costs the most
     and is charged in one step, so only a horizon whose whole box would not
     fit pays for the layer-by-layer peak of its keep boxes."""
     budget = _mem_budget()
-    if _dp_bytes(model, n, None, dtype) <= budget:
+    if _dp_bytes(model, n, steps, None, dtype) <= budget:
         return
-    need = _dp_bytes(model, n, keep, dtype)
+    need = _dp_bytes(model, n, steps, keep, dtype)
     if need > budget:
         lo, hi = 0, n
         while lo < hi:  # largest horizon that fits
             mid = (lo + hi + 1) // 2
-            if _dp_bytes(model, mid, keep, dtype) <= budget:
+            if _dp_bytes(model, mid, steps, keep, dtype) <= budget:
                 lo = mid
             else:
                 hi = mid - 1
@@ -240,18 +241,17 @@ def _modulus(model: WalkModel) -> int:
     return _lattice_index([v for v, _ in model.dist.steps])
 
 
-def _kernel_steps(model: WalkModel, tilt: LatticeTilt | None) -> list:
-    """The integer steps the exact kernel runs: weight 1 each on a tilted
-    walk, else the weights over D with equal weights made adjacent, each in
-    its first-appearance order, so ``_advance`` scales a class once per
-    weight.  Integer sums do not depend on the order of the steps."""
+def _kernel_steps(model: WalkModel, tilt: LatticeTilt) -> list:
+    """The integer steps the exact kernel runs: the exact quotients
+    c_v / w_1(start + v), 1 on an exponential family and c_v under the
+    identity tilt, with equal weights made adjacent in first-appearance
+    order, so ``_advance`` scales a class once per weight.  Integer sums do
+    not depend on the order of the steps."""
     steps, _den = model.dist.integer_weights()
-    if tilt is not None:
-        return [(v, 1) for v, _ in steps]
-    first_seen = {}
-    for _, c in steps:
-        first_seen.setdefault(c, len(first_seen))
-    return sorted(steps, key=lambda step: first_seen[step[1]])
+    weights = [tilt.weight(1, [x + a for x, a in zip(model.start, v)]) for v, _ in steps]
+    steps = [(v, c * den // num) for (v, c), (num, den) in zip(steps, weights)]
+    first_seen = list(dict.fromkeys(c for _, c in steps))
+    return sorted(steps, key=lambda step: first_seen.index(step[1]))
 
 
 def _contract(a: np.ndarray, vectors):
@@ -384,7 +384,7 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
         raise ConewalkError(f"the horizon must be non-negative, got {n}")
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
-    _budget_states(model, n, keep, dtype)
+    _budget_states(model, n, steps, keep, dtype)
     m = _modulus(model)
     r = tuple(x % m for x in model.start)
     first = np.zeros(_class_shape([x + 1 for x in model.start], r, m), dtype=dtype)
@@ -394,27 +394,26 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
         initial={r: first})
 
 
-def _integer_layers(model: WalkModel, n: int, keep=None) -> Iterator[dict]:
-    """Yield layers 0..n of integer numerators over D^k, or on a tilted walk
-    of the unit-weight path counts N_k, whose numerators are w_k N_k (see
-    ``_masses``).  Float layers keep the caller's order of the steps, which
-    fixes the order of every float sum.
+def _integer_layers(model: WalkModel, n: int, tilt: LatticeTilt, keep=None) -> Iterator[dict]:
+    """Yield layers 0..n of the path counts N_k under the kernel weights of
+    ``tilt``, whose numerators over D^k are w_k N_k (see ``_masses``).
+    Float layers keep the caller's order of the steps, which fixes the order
+    of every float sum.
     """
-    return _layers(model, n, _kernel_steps(model, lattice_tilt(model)), object, keep)
+    return _layers(model, n, _kernel_steps(model, tilt), object, keep)
 
 
-def _masses(tilt: LatticeTilt | None, k: int, layer: dict) -> dict:
+def _masses(tilt: LatticeTilt, k: int, layer: dict) -> dict:
     """Layer k of ``_integer_layers`` as the numerators over D^k of the
-    confined masses: w_k N_k entry by entry on a tilted walk."""
-    if tilt is None:
-        return layer
+    confined masses: w_k N_k entry by entry, N_k itself under the identity
+    tilt."""
     out = {}
     for r, a in layer.items():
         vectors, scale = tilt.axis_weights(a.shape)
-        weight = math.prod(np.ix_(*[np.ones(s, dtype=object) if w is None else w
-                                    for w, s in zip(vectors, a.shape)]))
+        for i, w in enumerate(vectors):  # a None vector weighs its axis by 1
+            a = a if w is None else a * w.reshape([-1] + [1] * (a.ndim - 1 - i))
         num, den = tilt.weight(k, r)
-        out[r] = a * weight * num // (den * scale)
+        out[r] = a * num // (den * scale)
     return out
 
 
@@ -423,7 +422,7 @@ def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
     den = model.dist.common_denominator
     m = _modulus(model)
     tilt = lattice_tilt(model)
-    for k, layer in enumerate(_integer_layers(model, n)):
+    for k, layer in enumerate(_integer_layers(model, n, tilt)):
         scale = den ** k
         masses = {}
         for r, a in _masses(tilt, k, layer).items():
@@ -459,26 +458,26 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
     its term k being value / (D^k s), with ``exit_sum(slab, corner)`` the
     integer s * sum_c slab[c] f(corner + m*c) over one slab of
     ``_exit_slabs``; one sweep over each step's slabs serves every
-    functional.  Survival is f = 1 over s = 1.  On a tilted walk the layer
-    holds N_k and layer_k[x] = w_k(x) N_k(x): ``exit_sum`` weighs entry c by
-    the integer ``LatticeTilt.axis_weights``, over their scale ``unit``, and
-    c_v w_k(x) = w_(k+1)(corner) at the slab's first entry x gives the rest,
-    an exact quotient of ints.  So the terms need layer k only where it can
-    still exit by step n or reach the target: the pass keeps the band and the
-    target's corner of ``_keep``.
+    functional.  Survival is f = 1 over s = 1.  The layer holds N_k and
+    layer_k[x] = w_k(x) N_k(x) under the walk's lattice tilt: ``exit_sum``
+    weighs entry c by the integer ``LatticeTilt.axis_weights``, over their
+    scale ``unit``, and c_v w_k(x) = c w_(k+1)(corner) at the slab's first
+    entry x, c the kernel's weight of v, gives the rest, an exact quotient of
+    ints; under the identity tilt every factor but c is 1.  So the terms need
+    layer k only where it can still exit by step n or reach the target: the
+    pass keeps the band and the target's corner of ``_keep``.
     """
     den = model.dist.common_denominator
-    steps, _den = model.dist.integer_weights()
     m = _modulus(model)
     tilt = lattice_tilt(model)
+    steps = _kernel_steps(model, tilt)
     readouts = []
     if target is not None:
         target, readout = _excursion_readout(model, target, tilt)
         readouts.append(readout)
     # the call checks the horizon and the memory budget, so before g's weights
-    layers = _integer_layers(model, n, _keep(model, target))
-    axes, unit = ([None] * model.dimension, 1) if tilt is None else tilt.axis_weights(
-        _class_shape(_box(model, n), [0] * model.dimension, m))
+    layers = _integer_layers(model, n, tilt, _keep(model, target))
+    axes, unit = tilt.axis_weights(_class_shape(_box(model, n), [0] * model.dimension, m))
     carried = [(1, 1, lambda slab, _corner: _contract(slab, axes))]
     if gammas is not None:
         carried.append(_g_functional(model, n, gammas, m, axes))
@@ -495,8 +494,8 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
         exits = [0] * len(carried)
         for v, c in steps:
             for slab, corner in _exit_slabs(layer, v, m):
-                num, div = (c, 1) if tilt is None else tilt.weight(k + 1, corner)
-                exits = [e + num * exit_sum(slab, corner) // (div * unit)
+                num, div = tilt.weight(k + 1, corner)
+                exits = [e + c * num * exit_sum(slab, corner) // (div * unit)
                          for e, (_, _, exit_sum) in zip(exits, carried)]
         values = [den * value - e for value, e in zip(values, exits)]
     h = model.model_hash()
@@ -540,11 +539,10 @@ def _g_functional(model: WalkModel, n: int, gammas: dict, m: int, axes):
     return sum(w[model.start[i] + 1] for i, w in weights.items()), scale, exit_sum
 
 
-def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt | None):
+def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt):
     """Check an excursion target y; return it as a tuple with the readout of
-    entry y // m of class y mod m off layer k, weighed by w_k(y) on a tilted
-    walk, which is 0 where that class is not stored or y lies outside the
-    box."""
+    entry y // m of class y mod m off layer k, weighed by w_k(y), which is 0
+    where that class is not stored or y lies outside the box."""
     y = excursion_target(model, y)
     m = _modulus(model)
     r, j = tuple(c % m for c in y), tuple(c // m for c in y)
@@ -552,8 +550,6 @@ def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt | None):
     def readout(k: int, layer: dict):
         a = layer.get(r)
         count = a[j] if a is not None and all(c < s for c, s in zip(j, a.shape)) else 0
-        if tilt is None or not count:
-            return count
         num, den = tilt.weight(k, y)
         return count * num // den
 
@@ -568,9 +564,10 @@ def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n, off
     a pass that keeps only the states that can still reach y."""
-    y, readout = _excursion_readout(model, y, lattice_tilt(model))
+    tilt = lattice_tilt(model)
+    y, readout = _excursion_readout(model, y, tilt)
     den = model.dist.common_denominator
-    layers = _integer_layers(model, n, _keep(model, y, band=False))
+    layers = _integer_layers(model, n, tilt, _keep(model, y, band=False))
     terms = tuple(Fraction(readout(k, layer), den ** k) for k, layer in enumerate(layers))
     return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
 

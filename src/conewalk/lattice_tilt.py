@@ -4,9 +4,9 @@ Where the integer weights are an exponential family on the lattice L spanned
 by the step differences, c_v = lambda * psi(v) with psi multiplicative,
 every path of k steps from the start to x has the same weight
 w_k(x) = lambda^k psi(x - start), an integer: this is the exact lattice form
-of the Laplace tilt.  ``lattice_tilt`` decides whether a walk has one, by
-exact arithmetic on its integer weights, and ``LatticeTilt`` evaluates w_k;
-``exact_dp`` then counts unit-weight paths and applies w_k where it reads.
+of the Laplace tilt.  ``lattice_tilt`` finds it by exact arithmetic and
+gives every other walk the identity tilt w_k = 1; ``LatticeTilt`` evaluates
+w_k, which ``exact_dp`` applies where it reads, for every walk alike.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ class LatticeTilt:
     A path of k steps from the start to x weighs w_k(x) = prod_q q^(e_q) with
     e_q = (k A_q + U_q . (x - start)) / m, for m the index of L in Z^d and the
     integers U_q = m u_q and A_q = m alpha_q; e_q is an integer on the coset
-    that layer k occupies, and w_k(x) an integer where a path reaches x."""
+    that layer k occupies, and w_k(x) an integer where a path reaches x.
+    With no q at all it is the identity tilt, w_k = 1."""
 
     def __init__(self, m: int, start: tuple, powers: tuple):
         self.m, self.start = m, start
@@ -103,28 +104,29 @@ def _solve(rows, rhs):
     return None if any(x for row in a[d:] for x in row[d:]) else [row[d:] for row in a[:d]]
 
 
-def lattice_tilt(model: WalkModel) -> LatticeTilt | None:
-    """The tilt of the walk's integer weights, or None.
+def lattice_tilt(model: WalkModel) -> LatticeTilt:
+    """The tilt of the walk's integer weights.
 
     There is one when the integer weights are c_v = c_v0 phi(v - v0) for a
     homomorphism phi from L to Q>0: for each q of the weights' coprime base,
     the exponent of q in c_v less that in c_v0 is, on every step, one
-    rational linear form u_q of v - v0, solved for exactly.  Uniform walks
-    (the tilt is 1), walks whose steps differ in fewer than d directions and
-    weights with no such phi get None.
+    rational linear form u_q of v - v0, solved for exactly.  Uniform walks,
+    walks whose steps differ in fewer than d directions and weights with no
+    such phi get the identity tilt.
     """
     steps, _den = model.dist.integer_weights()
     (v0, c0), *rest = steps
     d = model.dimension
+    identity = LatticeTilt(1, tuple(model.start), ())
     rows = [[a - b for a, b in zip(v, v0)] for v, _ in rest]
     pivots = _echelon_pivots(rows, d)
     if all(c == c0 for _, c in rest) or len(pivots) < d:
-        return None
+        return identity
     base = _coprime_base([c for _, c in steps])
     exps = [[_multiplicity(c, q) for q in base] for _, c in steps]
     forms = _solve(rows, [[e - e0 for e, e0 in zip(row, exps[0])] for row in exps[1:]])
     if forms is None:
-        return None
+        return identity
     m = abs(math.prod(pivots))  # the index of L in Z^d
     powers = []
     for j, q in enumerate(base):

@@ -99,9 +99,9 @@ def dp_passes(monkeypatch):
     horizons = []
     layers = exact_dp._integer_layers
 
-    def counted(model, n, keep=None):
+    def counted(model, n, tilt, keep=None):
         horizons.append(n)
-        return layers(model, n, keep)
+        return layers(model, n, tilt, keep)
 
     monkeypatch.setattr(exact_dp, "_integer_layers", counted)
     return horizons
@@ -398,6 +398,15 @@ class TestErrorsAndExitCodes:
                                 "--horizon", "400"])
         assert code == 3
         assert "try horizon" in doc["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "1e9", "-1"])
+    def test_malformed_memory_budget_exits_2(self, five_step_path, monkeypatch, value):
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", value)
+        doc, code = run_report(["enumerate", "--model", five_step_path,
+                                "--horizon", "10"])
+        assert code == 2
+        assert doc["error"] == ("ConewalkError: CONEWALK_MEM_BUDGET must be a whole number "
+                                f"of bytes, got {value!r}")
 
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "excursion", "rho",
                                          "bounds", "guess", "simulate"])

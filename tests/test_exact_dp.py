@@ -101,11 +101,10 @@ def _scatter(layer, shape, m, dtype):
 
 def _weighted_layers(model, n):
     """Layers 0..n of ``_integer_layers`` as the numerators over D^k of the
-    confined masses, by the readout ``survival_layers`` uses: w_k N_k on a
-    tilted walk."""
+    confined masses, by the readout ``survival_layers`` uses: w_k N_k."""
     tilt = lattice_tilt(model)
     return (exact_dp._masses(tilt, k, layer)
-            for k, layer in enumerate(exact_dp._integer_layers(model, n)))
+            for k, layer in enumerate(exact_dp._integer_layers(model, n, tilt)))
 
 
 def _reference_layers(model, n, steps, dtype):
@@ -237,8 +236,8 @@ class TestKernel:
             steps, _den = model.dist.integer_weights()
             reference = _reference_layers(model, 12, steps, object)
             reach = {tuple(x % m for x in model.start)}
-            for layer, ref in zip(exact_dp._integer_layers(model, 12), reference,
-                                  strict=True):
+            for layer, ref in zip(exact_dp._integer_layers(model, 12, lattice_tilt(model)),
+                                  reference, strict=True):
                 confined = {tuple(x % m for x in pos) for pos in np.argwhere(ref).tolist()}
                 assert set(layer) == confined <= reach
                 assert all(a.any() for a in layer.values())
@@ -346,10 +345,11 @@ class TestKeepBoxes:
                  for i in range(model.dimension)]
             m = exact_dp._modulus(model)
             den = model.dist.common_denominator
-            reference = list(exact_dp._integer_layers(model, n))
+            tilt = lattice_tilt(model)
+            reference = list(exact_dp._integer_layers(model, n, tilt))
             for band in (True, False):
                 keep = exact_dp._keep(model, target, band)
-                layers = exact_dp._integer_layers(model, n, keep)
+                layers = exact_dp._integer_layers(model, n, tilt, keep)
                 for k, (layer, ref) in enumerate(zip(layers, reference, strict=True)):
                     full = _box_of(ref, exact_dp._box(model, k), m)
                     pruned = _box_of(layer, full.shape, m)
@@ -620,8 +620,23 @@ class TestMemoryBudget:
         seq = survival_sequence(five_step_model, 5)
         assert len(seq.terms) == 6
 
+    @pytest.mark.parametrize("value", ["abc", "1e9", "-5", "1.5", " 7", "2GiB", "\u0663"])
+    def test_malformed_budget_rejected(self, five_step_model, monkeypatch, value):
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", value)
+        with pytest.raises(ConewalkError, match="CONEWALK_MEM_BUDGET must be") as exc:
+            survival_sequence(five_step_model, 5)
+        assert type(exc.value) is ConewalkError
+
+    def test_empty_budget_is_the_default_and_zero_is_a_budget(self, five_step_model,
+                                                               monkeypatch):
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", "")
+        assert exact_dp._mem_budget() == exact_dp.DEFAULT_MEM_BUDGET
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", "0")
+        with pytest.raises(MemoryBudgetExceeded):
+            survival_sequence(five_step_model, 5)
+
     def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d,
-                                           octant_3d, simple_walk_2d):
+                                           octant_3d, simple_walk_2d, monkeypatch):
         # survival and the escape bounds keep the exit band, the excursion the
         # states that can reach its target, and the float tilted functional
         # the whole box.  The exterior's integer weights 1, 1, 2, 2 are tilted
@@ -635,11 +650,19 @@ class TestMemoryBudget:
         diagonal_back = walk({(1, 0): F(3, 8), (0, 1): F(3, 8), (-5, -5): F(1, 4)}, (0, 0))
         heavy_ne = walk({(1, 0): F(1, 6), (0, -1): F(1, 6), (-1, 0): F(1, 6),
                          (0, 1): F(1, 6), (1, 1): F(1, 3)}, (0, 0))
-        assert lattice_tilt(heavy_ne) is None
+        assert lattice_tilt(heavy_ne).powers == ()
+        assert lattice_tilt(exterior_2d).powers != ()
         t_ext = analyze(exterior_2d.dist, exterior_2d.cone).t0
         t_oct = analyze(octant_3d.dist, octant_3d.cone).t0
         band = exact_dp._keep
         survival_sequence(five_step_model, 2)
+        ran, layers = [], exact_dp._layers
+
+        def recorded(model, n, steps, dtype, keep=None):
+            ran.append(steps)
+            return layers(model, n, steps, dtype, keep)
+
+        monkeypatch.setattr(exact_dp, "_layers", recorded)
         for model, n, passes, keep, dtype in (
                 (five_step_model, 60, (survival_sequence, escape_probability_bounds),
                  band(five_step_model), object),
@@ -665,7 +688,8 @@ class TestMemoryBudget:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= _dp_bytes(model, n, keep, dtype) <= 2.5 * peak
+            # charged on the steps the kernel ran
+            assert peak <= _dp_bytes(model, n, ran[-1], keep, dtype) <= 2.5 * peak
 
     @pytest.mark.parametrize("box,start,reach", [
         ((5,), (2,), 1), ((7, 4), (0, 0), 3), ((7, 4), (1, 2), 20),
@@ -716,16 +740,20 @@ class TestMemoryBudget:
             live = stored * (tri(k) - tri(3 * k - 2 * n)) / (k + 1) ** 2
             return (stored, live) if k < n else (0, 0)
 
-        assert _dp_bytes(five_step_model, n) == pytest.approx(peak(five, 1, 5))
-        assert _dp_bytes(five_step_model, n, band(five_step_model)) == \
+        five_steps, exterior_steps = (exact_dp._kernel_steps(model, lattice_tilt(model))
+                                      for model in (five_step_model, exterior_2d))
+        assert _dp_bytes(five_step_model, n, five_steps) == pytest.approx(peak(five, 1, 5))
+        assert _dp_bytes(five_step_model, n, five_steps, band(five_step_model)) == \
             pytest.approx(peak(five_band, 1, 5))
-        assert _dp_bytes(five_step_model, n, band(five_step_model, (0, 0), band=False)) == \
+        assert _dp_bytes(five_step_model, n, five_steps,
+                         band(five_step_model, (0, 0), band=False)) == \
             pytest.approx(peak(five_cut, 1, 5))
-        assert _dp_bytes(exterior_2d, n) == pytest.approx(peak(exterior, 1, 4))
-        assert _dp_bytes(exterior_2d, n, band(exterior_2d)) == \
+        assert _dp_bytes(exterior_2d, n, exterior_steps) == pytest.approx(peak(exterior, 1, 4))
+        assert _dp_bytes(exterior_2d, n, exterior_steps, band(exterior_2d)) == \
             pytest.approx(peak(exterior_band, 1, 4))
         # floats: the same slots, the 64 KiB for the interpreter and no ints;
         # the whole box peaks at its last step
         (s0, _), (s, _) = exterior(n - 1), exterior(n)
-        assert _dp_bytes(exterior_2d, n, None, float) == pytest.approx(
+        float_steps, _drift = tilt_distribution(exterior_2d.dist, (0.0, 0.0))
+        assert _dp_bytes(exterior_2d, n, float_steps, None, float) == pytest.approx(
             8 * (2 * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1)) + 2 ** 16)

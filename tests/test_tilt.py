@@ -1,6 +1,7 @@
 """The exact exponential tilt of the DP: layer k of a walk whose weights are
 an exponential family on its step lattice is w_k N_k, with N_k the
-unit-weight path count, and the kernel runs on unit weights."""
+unit-weight path count, and the kernel runs on unit weights.  Every other
+walk has the identity tilt w_k = 1 and is read by the same readouts."""
 
 import math
 import warnings
@@ -54,10 +55,30 @@ def _exponential_walks():
 
 EXPONENTIAL = _exponential_walks()
 
+# walks with no exponential family on their step lattice: the identity tilt
+NO_TILT = {
+    "five-step-1-1-1-1-2": {(1, 0): F(1, 6), (0, -1): F(1, 6), (-1, 0): F(1, 6),
+                            (0, 1): F(1, 6), (1, 1): F(1, 3)},
+    "skewed": {(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
+               (-1, -1): F(3, 40)},
+    "lazy-1d": {(1,): F(1, 4), (0,): F(1, 4), (-1,): F(1, 2)},  # 1 * 2 is not 1^2
+    "uniform": {(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5), (0, 1): F(1, 5),
+                (1, 1): F(1, 5)},  # the tilt of uniform weights is 1
+}
+IDENTITY = [walk(NO_TILT["five-step-1-1-1-1-2"], (0, 0)), walk(NO_TILT["skewed"], (1, 1)),
+            walk(NO_TILT["lazy-1d"], (1,))]
+
+
+def _assert_identity(model):
+    tilt = lattice_tilt(model)
+    assert tilt.powers == ()
+    assert tilt.weight(3, [x + 1 for x in model.start]) == (1, 1)
+    assert tilt.axis_weights([4] * model.dimension) == ([None] * model.dimension, 1)
+
 
 class TestLatticeTilt:
     def test_exponential_walks_are_tilted(self):
-        assert all(lattice_tilt(model) is not None for model in EXPONENTIAL)
+        assert all(lattice_tilt(model).powers != () for model in EXPONENTIAL)
         assert {exact_dp._modulus(model) > 2 for model in EXPONENTIAL} == {True, False}
         assert any(model.dimension == 1 for model in EXPONENTIAL)
         assert any(any(model.start) for model in EXPONENTIAL)
@@ -71,7 +92,7 @@ class TestLatticeTilt:
             steps, _den = model.dist.integer_weights()
             unit = _reference_layers(model, 8, [(v, 1) for v, _ in steps], object)
             weighted = _reference_layers(model, 8, steps, object)
-            layers = exact_dp._integer_layers(model, 8)
+            layers = exact_dp._integer_layers(model, 8, tilt)
             for k, (layer, count, ref) in enumerate(zip(layers, unit, weighted, strict=True)):
                 assert _scatter(layer, count.shape, m, object).tolist() == count.tolist()
                 for x in map(tuple, np.argwhere(count).tolist()):
@@ -82,9 +103,11 @@ class TestLatticeTilt:
                 assert _scatter(masses, ref.shape, m, object).tolist() == ref.tolist()
 
     def test_readouts_match_the_weighted_reference(self):
-        # survival, the excursion and, on the two bounds walks, g
+        # survival, the excursion and, on the bounds walks, g: the tilted walks
+        # and the identity tilt's, read by the same readouts
+        assert {exact_dp._modulus(model) for model in IDENTITY} == {1, 4}
         with_bounds = 0
-        for model in EXPONENTIAL:
+        for model in EXPONENTIAL + IDENTITY:
             den = model.dist.common_denominator
             steps, _den = model.dist.integer_weights()
             ref = list(_reference_layers(model, 10, steps, object))
@@ -105,26 +128,39 @@ class TestLatticeTilt:
                          for x in map(tuple, np.argwhere(a).tolist())
                          for i, g in gammas.items()), F(0))
                     for k, a in enumerate(ref)]
-        assert with_bounds == 2
+        assert with_bounds == 4
 
-    @pytest.mark.parametrize("weights", [
-        {(1, 0): F(1, 6), (0, -1): F(1, 6), (-1, 0): F(1, 6), (0, 1): F(1, 6),
-         (1, 1): F(1, 3)},  # five-step at 1, 1, 1, 1, 2
-        {(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
-         (-1, -1): F(3, 40)},
-        {(1,): F(1, 4), (0,): F(1, 4), (-1,): F(1, 2)},  # 1 * 2 is not 1^2
-        {(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5), (0, 1): F(1, 5),
-         (1, 1): F(1, 5)},  # uniform: the tilt is 1
-    ], ids=["five-step-1-1-1-1-2", "skewed", "lazy-1d", "uniform"])
+    @pytest.mark.parametrize("weights", NO_TILT.values(), ids=NO_TILT.keys())
     def test_no_tilt(self, weights):
         model = walk(weights, (0,) * len(next(iter(weights))))
-        assert lattice_tilt(model) is None
+        _assert_identity(model)
+        steps, _den = model.dist.integer_weights()
+        assert sorted(exact_dp._kernel_steps(model, lattice_tilt(model))) == sorted(steps)
 
     def test_rank_deficient_steps_get_no_tilt(self):
         with pytest.warns(UserWarning, match="do not span"):
             line = walk({(1, 1): F(1, 4), (-1, -1): F(1, 2), (2, 2): F(1, 4)}, (0, 0))
-        assert lattice_tilt(line) is None
+        _assert_identity(line)
         assert list(survival_sequence(line, 8).terms) == brute_force_survival(line, 8)
+
+    def test_one_tilt_per_pass(self, monkeypatch, five_step_model, exterior_2d):
+        # each exact pass derives its tilt once and hands it to every stage
+        calls = []
+        tilt = exact_dp.lattice_tilt
+
+        def counted(model):
+            calls.append(model)
+            return tilt(model)
+
+        monkeypatch.setattr(exact_dp, "lattice_tilt", counted)
+        for model, target in ((five_step_model, (1, 1)), (exterior_2d, (0, 0))):
+            for run in (lambda: exact_dp.survival_pass(model, 12, target),
+                        lambda: exact_dp.survival_pass(model, 12),
+                        lambda: excursion_sequence(model, target, 12),
+                        lambda: survival_sequence(model, 12)):
+                calls.clear()
+                run()
+                assert calls == [model]
 
     def test_coprime_base(self):
         for values in ([12, 18, 5], [1, 1], [8, 4, 2, 6, 9, 35, 49], [2 ** 61 - 1, 6]):
@@ -164,7 +200,7 @@ class TestLongHorizonOracle:
         diagonal = walk({(a, b): (p0 if a > 0 else q0) * (p1 if b > 0 else q1)
                          for a in (1, -1) for b in (1, -1)}, (1, 2))
         assert exact_dp._modulus(diagonal) == 4
-        assert lattice_tilt(diagonal) is not None
+        assert lattice_tilt(diagonal).powers != ()
         x_axis = closed_form_coefficients(OneDimModel(p=p0, q=q0, x=1), 300)
         y_axis = closed_form_coefficients(OneDimModel(p=p1, q=q1, x=2), 300)
         assert list(survival_sequence(diagonal, 300).terms) == \
@@ -172,6 +208,6 @@ class TestLongHorizonOracle:
 
     def test_weighted_1d_walk(self):
         model = OneDimModel(p=F(2, 5), q=F(3, 5), x=3)
-        assert lattice_tilt(model.to_walk_model()) is not None
+        assert lattice_tilt(model.to_walk_model()).powers != ()
         assert list(survival_sequence(model.to_walk_model(), 300).terms) == \
             closed_form_coefficients(model, 300)
