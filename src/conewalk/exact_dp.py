@@ -23,16 +23,18 @@ family, N_k counts unit-weight paths, so no step scales a class and a
 numerator grows by log2 |S| bits a step, not log2 D.  The readouts apply w_k
 where they read.  Within class r, w_k(r + m*j) is w_k(r) times one geometric
 factor per axis, so a slab is weighed by one integer vector per axis over
-one fixed scale (``_contract``), as the float functional and g are.
+one fixed scale (``_contract``), as the float functional is.
 
 ``_read`` reads survival, the excursion and the escape bounds' g-functional
 off one pass, and ``survival_pass`` is the one call for all three.  It
-carries the survival total and the g-functional from layer to layer by
-subtracting what exits through the boundary slabs of each class: both f = 1
-and g are harmonic for the free walk, so neither sums the layer.  Each is
-carried as an integer over one fixed scale (1 for survival, a product of
-powers of the g_i denominators for g), so the carry runs on Python ints with
-no gcd, and one sweep over each step's exit slabs serves both.  The
+carries survival and g from layer to layer by subtracting what exits
+through the boundary slabs of each class: both f = 1 and g are harmonic for
+the free walk, so neither sums the layer.  Each carried functional is a
+lattice tilt with an integer start value over its own fixed scale: survival
+is the walk's tilt over 1, and g(x) = sum_i g_i^(x_i + 1) is d more tilts,
+the walk's times g_i^(x_i - start_i), over a product of powers of the g_i
+denominators.  So the carry runs on Python ints with no gcd, and one sweep
+over each step's exit slabs weighs every functional by one rule.  The
 excursion readout is one entry of one class.
 
 So a layer matters only where it can still exit by the horizon n or reach
@@ -170,7 +172,7 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
     With no int rounding to cover them, a float step charges 64 KiB for the
     interpreter's own objects instead: index tuples, slices and the free
     lists that keep them.  The peak is the largest step, the last one when
-    the whole box is kept.
+    the whole box is kept; horizon 0 holds layer 0 and its terms.
     """
     m, d, start = _modulus(model), model.dimension, model.start
     classes = m ** (d - 1)
@@ -181,9 +183,9 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
         held = 1 if all(c == 1 for _, c in steps) else 2
 
     def entries(k: int):
-        """The stored and the live entries of layer k."""
-        if k == 0:
-            return 1, 1
+        """The stored and the live entries of layer k, none before layer 0."""
+        if k < 1:
+            return (1, 1) if k == 0 else (0, 0)
         boxes = _boxes(model, n, k, keep)
         hull = [max((box[i][1] for box in boxes), default=0) for i in range(d)]
         stored = classes * math.prod(-(-s // m) for s in hull)
@@ -194,7 +196,7 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
 
     peak, before = 0.0, None
     # every layer of the whole box holds more than the one before
-    for k in range(1 if keep is not None else max(n, 1), n + 1):
+    for k in range(min(n, 1) if keep is not None else n, n + 1):
         (stored_before, live_before), (stored, live) = before or entries(k - 1), entries(k)
         buffered, terms = 3 * min(stored, np.getbufsize()), 8 * (n + 1)
         step = 8 * (held * stored_before + stored + buffered + terms) + (
@@ -205,26 +207,34 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
 
 
 def _budget_states(model: WalkModel, n: int, steps, keep=None, dtype=object) -> None:
-    """Raise MemoryBudgetExceeded, with the largest horizon that fits, when
-    the pass would not fit the budget.  Keeping the whole box costs the most
-    and is charged in one step, so only a horizon whose whole box would not
-    fit pays for the layer-by-layer peak of its keep boxes."""
+    """Raise MemoryBudgetExceeded, with the largest horizon that fits or that
+    none does, when the pass would not fit the budget.  Keeping the whole box
+    costs the most and is charged in one step, so only a horizon whose whole
+    box would not fit pays for the layer-by-layer peak of its keep boxes."""
     budget = _mem_budget()
     if _dp_bytes(model, n, steps, None, dtype) <= budget:
         return
     need = _dp_bytes(model, n, steps, keep, dtype)
     if need > budget:
-        lo, hi = 0, n
-        while lo < hi:  # largest horizon that fits
+        lo, hi = -1, n - 1
+        while lo < hi:  # largest horizon that fits, -1 for none
             mid = (lo + hi + 1) // 2
             if _dp_bytes(model, mid, steps, keep, dtype) <= budget:
                 lo = mid
             else:
                 hi = mid - 1
         raise MemoryBudgetExceeded(
-            f"horizon {n} needs ~{need / 2**30:.1f} GiB (budget "
-            f"{budget / 2**30:.1f} GiB); try horizon <= {lo}"
-        )
+            f"horizon {n} needs ~{_size(need)} (budget {_size(budget)}); "
+            + (f"try horizon <= {lo}" if lo >= 0 else "no horizon fits"))
+
+
+def _size(nbytes: float) -> str:
+    """``nbytes`` in the largest binary unit it reaches, up to GiB."""
+    for unit in ("B", "KiB", "MiB"):
+        if nbytes < 1024:
+            return f"{nbytes:.1f} {unit}"
+        nbytes /= 1024
+    return f"{nbytes:.1f} GiB"
 
 
 def _lattice_index(vectors) -> int:
@@ -373,7 +383,9 @@ def _advance(classes: dict, steps, boxes, m: int) -> dict:
 
 def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]:
     """Yield layers 0..n, each a dict from live residue class r to the
-    confined masses at r + m*j under the given step weights.
+    confined masses at r + m*j under the given step weights.  Float layers
+    keep the caller's order of the steps, which fixes the order of every
+    float sum.
 
     Layers past the first hold only the entries inside the keep boxes of
     ``keep`` (see ``_keep``; None keeps the whole box), which are exact.  The
@@ -396,10 +408,7 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
 
 def _integer_layers(model: WalkModel, n: int, tilt: LatticeTilt, keep=None) -> Iterator[dict]:
     """Yield layers 0..n of the path counts N_k under the kernel weights of
-    ``tilt``, whose numerators over D^k are w_k N_k (see ``_masses``).
-    Float layers keep the caller's order of the steps, which fixes the order
-    of every float sum.
-    """
+    ``tilt``, whose numerators over D^k are w_k N_k (see ``_masses``)."""
     return _layers(model, n, _kernel_steps(model, tilt), object, keep)
 
 
@@ -454,89 +463,71 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
     A carried functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
     free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
     to D F_k - sum_v c_v (sum of layer_k[x] f(x + v) over the x with x + v
-    outside the orthant).  Each is carried as an integer over a fixed scale s,
-    its term k being value / (D^k s), with ``exit_sum(slab, corner)`` the
-    integer s * sum_c slab[c] f(corner + m*c) over one slab of
-    ``_exit_slabs``; one sweep over each step's slabs serves every
-    functional.  Survival is f = 1 over s = 1.  The layer holds N_k and
-    layer_k[x] = w_k(x) N_k(x) under the walk's lattice tilt: ``exit_sum``
-    weighs entry c by the integer ``LatticeTilt.axis_weights``, over their
-    scale ``unit``, and c_v w_k(x) = c w_(k+1)(corner) at the slab's first
-    entry x, c the kernel's weight of v, gives the rest, an exact quotient of
-    ints; under the identity tilt every factor but c is 1.  So the terms need
-    layer k only where it can still exit by step n or reach the target: the
-    pass keeps the band and the target's corner of ``_keep``.
+    outside the orthant).  The layer holds N_k and layer_k[x] = w_k(x) N_k(x)
+    under the walk's lattice tilt w, and each f has s f(x) = b t_k(x) / w_k(x)
+    for a lattice tilt t, an integer start value b and a fixed integer scale
+    s: survival is (w, 1, 1) and g is d more (``_g_tilts``).  So F_k is the
+    integer b sum_x t_k(x) N_k(x) over D^k s, and c_v w_k(x) = c w_(k+1)(x + v),
+    c the kernel's weight of v, makes the exit mass through a slab of
+    ``_exit_slabs`` c b t_(k+1)(corner) times the slab weighed by the integer
+    ``LatticeTilt.axis_weights`` of t over their scale: an exact quotient of
+    ints.  One sweep over each step's slabs serves every functional, and the
+    terms need layer k only where it can still exit by step n or reach the
+    target: the pass keeps the band and the target's corner of ``_keep``.
     """
     den = model.dist.common_denominator
-    m = _modulus(model)
     tilt = lattice_tilt(model)
-    steps = _kernel_steps(model, tilt)
-    readouts = []
+    m, steps = tilt.m, _kernel_steps(model, tilt)
     if target is not None:
         target, readout = _excursion_readout(model, target, tilt)
-        readouts.append(readout)
-    # the call checks the horizon and the memory budget, so before g's weights
+    # the call checks the horizon and the memory budget, so before g's scale
     layers = _integer_layers(model, n, tilt, _keep(model, target))
-    axes, unit = tilt.axis_weights(_class_shape(_box(model, n), [0] * model.dimension, m))
-    carried = [(1, 1, lambda slab, _corner: _contract(slab, axes))]
-    if gammas is not None:
-        carried.append(_g_functional(model, n, gammas, m, axes))
-    values = [start for start, _, _ in carried]
-    sequences = [[] for _ in range(len(carried) + len(readouts))]
+    box = _box(model, n)
+    scale, carried = _g_tilts(tilt, gammas, box) if gammas is not None else (1, [])
+    shape = _class_shape(box, [0] * model.dimension, m)
+    carried = [(t, b, *t.axis_weights(shape)) for t, b in [(tilt, 1)] + carried]
+    values = [b for _, b, _, _ in carried]
+    survival, g_terms, excursion = [], [], []
     for k, layer in enumerate(layers):
-        scale = den ** k
-        terms = [Fraction(value, scale * s) for value, (_, s, _) in zip(values, carried)]
-        terms += [Fraction(readout(k, layer), scale) for readout in readouts]
-        for sequence, term in zip(sequences, terms):
-            sequence.append(term)
+        power = den ** k
+        survival.append(Fraction(values[0], power))
+        if gammas is not None:
+            g_terms.append(Fraction(sum(values[1:]), power * scale))
+        if target is not None:
+            excursion.append(Fraction(readout(k, layer), power))
         if k == n:
             break
         exits = [0] * len(carried)
         for v, c in steps:
             for slab, corner in _exit_slabs(layer, v, m):
-                num, div = tilt.weight(k + 1, corner)
-                exits = [e + c * num * exit_sum(slab, corner) // (div * unit)
-                         for e, (_, _, exit_sum) in zip(exits, carried)]
+                for j, (t, b, axes, unit) in enumerate(carried):
+                    num, div = t.weight(k + 1, corner)
+                    exits[j] += c * b * num * _contract(slab, axes) // (div * unit)
         values = [den * value - e for value, e in zip(values, exits)]
     h = model.model_hash()
-    survival, *g_terms = sequences[:len(carried)]
-    excursion = (ExactSequence(tuple(sequences[-1]), "excursion", h, n, target=target)
-                 if readouts else None)
-    return (ExactSequence(tuple(survival), "survival", h, n), excursion,
-            tuple(g_terms[0]) if g_terms else None)
+    return (ExactSequence(tuple(survival), "survival", h, n),
+            ExactSequence(tuple(excursion), "excursion", h, n, target=target)
+            if target is not None else None,
+            tuple(g_terms) if gammas is not None else None)
 
 
-def _g_functional(model: WalkModel, n: int, gammas: dict, m: int, axes):
-    """The carry of g(x) = sum_i g_i^(x_i + 1) for ``_read`` to horizon n:
-    (s g(start), s, exit_sum) over the scale s = prod_i p_i^E_i, where
-    g_i = q_i/p_i and E_i is the box side of layer n.
-
-    No exponent x_i + 1 of a state that layer k < n holds or steps to exceeds
-    E_i, so s g_i^t = w_i[t] is an integer for t = 0..E_i:
-    w_i[t] = q_i^t p_i^(E_i - t) s / p_i^E_i.  A slab's sum is then, per axis
-    i, the slab contracted with one slice of w_i, its entries m apart from the
-    exit corner, on axis i and with the tilt's ``axes`` (summed where None)
-    on the others; axis i weighs by both.
-    """
-    box = _box(model, n)
+def _g_tilts(tilt: LatticeTilt, gammas: dict, box) -> tuple[int, list]:
+    """The g-functional g(x) = sum_i g_i^(x_i + 1) as ``_read`` carries it:
+    the scale s = prod_i p_i^E_i, for g_i = q_i/p_i and E_i the box side of
+    the last layer, and per term i the walk's tilt times g_i^(x_i - start_i)
+    with its start value s g_i^(start_i + 1).  No exponent x_i + 1 of a state
+    that a layer before the last holds or steps to exceeds E_i, so
+    s g_i^(x_i + 1) is an integer wherever the carry reads it."""
+    m, start = tilt.m, tilt.start
     scale = math.prod(g.denominator ** box[i] for i, g in gammas.items())
-    weights = {}
+    carried = []
     for i, g in gammas.items():
         q, p, e = g.numerator, g.denominator, box[i]
-        rest = scale // p ** e
-        weights[i] = np.array([rest * q ** t * p ** (e - t) for t in range(e + 1)],
-                              dtype=object)
-
-    def exit_sum(slab: np.ndarray, corner) -> int:
-        total = 0
-        for i, w in weights.items():
-            w = w[corner[i] + 1::m][:slab.shape[i]]
-            if axes[i] is not None:
-                w = w * axes[i][:len(w)]
-            total += _contract(slab, axes[:i] + [w] + axes[i + 1:])
-        return total
-
-    return sum(w[model.start[i] + 1] for i, w in weights.items()), scale, exit_sum
+        axis = tuple(m if j == i else 0 for j in range(len(box)))
+        powers = tilt.powers + ((q, 0, axis), (p, 0, tuple(-c for c in axis)))
+        carried.append((LatticeTilt(m, start, powers),
+                        q ** (start[i] + 1) * p ** (e - start[i] - 1) * scale // p ** e))
+    return scale, carried
 
 
 def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt):
@@ -628,7 +619,7 @@ def escape_probability_bounds(model: WalkModel, n: int, target=None) -> EscapeBo
 
     g(x) = sum_i g_i^(x_i + 1) is the exact upper harmonic bound on the exit
     probability from x, and g_k = sum_x P^x(tau > k, S_k = x) g(x) is carried
-    by exit mass like a_k, from g_0 = g(start): an integer over one fixed
+    by exit mass like a_k, from g_0 = g(start): d lattice tilts over one fixed
     scale, stepped by the same sweep over the exit slabs as a_k (see
     ``_read``).  With a target y, the same pass also reads the excursion
     sequence at y.

@@ -20,13 +20,14 @@ from .model import WalkModel, _echelon_pivots
 
 
 class LatticeTilt:
-    """The tilt of a walk with c_v = lambda * psi(v): over pairwise coprime
-    integers q, psi(v) = prod_q q^(u_q . v) and lambda = prod_q q^(alpha_q).
+    """The tilt of a walk with c_v = lambda * psi(v): over integers q,
+    psi(v) = prod_q q^(u_q . v) and lambda = prod_q q^(alpha_q).
     A path of k steps from the start to x weighs w_k(x) = prod_q q^(e_q) with
     e_q = (k A_q + U_q . (x - start)) / m, for m the index of L in Z^d and the
     integers U_q = m u_q and A_q = m alpha_q; e_q is an integer on the coset
     that layer k occupies, and w_k(x) an integer where a path reaches x.
-    With no q at all it is the identity tilt, w_k = 1."""
+    With no q at all it is the identity tilt, w_k = 1; m is the index all
+    the same (1 where L is not of full rank), the modulus of the layers."""
 
     def __init__(self, m: int, start: tuple, powers: tuple):
         self.m, self.start = m, start
@@ -117,9 +118,10 @@ def lattice_tilt(model: WalkModel) -> LatticeTilt:
     steps, _den = model.dist.integer_weights()
     (v0, c0), *rest = steps
     d = model.dimension
-    identity = LatticeTilt(1, tuple(model.start), ())
     rows = [[a - b for a, b in zip(v, v0)] for v, _ in rest]
     pivots = _echelon_pivots(rows, d)
+    m = abs(math.prod(pivots)) if len(pivots) == d else 1  # the index of L in Z^d
+    identity = LatticeTilt(m, tuple(model.start), ())
     if all(c == c0 for _, c in rest) or len(pivots) < d:
         return identity
     base = _coprime_base([c for _, c in steps])
@@ -127,7 +129,6 @@ def lattice_tilt(model: WalkModel) -> LatticeTilt:
     forms = _solve(rows, [[e - e0 for e, e0 in zip(row, exps[0])] for row in exps[1:]])
     if forms is None:
         return identity
-    m = abs(math.prod(pivots))  # the index of L in Z^d
     powers = []
     for j, q in enumerate(base):
         u = [forms[i][j] for i in range(d)]

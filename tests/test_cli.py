@@ -399,6 +399,14 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert "try horizon" in doc["error"]
 
+    def test_no_horizon_fits_the_memory_budget(self, five_step_path, monkeypatch):
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", "0")
+        doc, code = run_report(["enumerate", "--model", five_step_path,
+                                "--horizon", "20"])
+        assert code == 3
+        assert doc["error"].startswith("MemoryBudgetExceeded: horizon 20 needs ~")
+        assert doc["error"].endswith("(budget 0.0 B); no horizon fits")
+
     @pytest.mark.parametrize("value", ["abc", "1e9", "-1"])
     def test_malformed_memory_budget_exits_2(self, five_step_path, monkeypatch, value):
         monkeypatch.setenv("CONEWALK_MEM_BUDGET", value)

@@ -553,8 +553,15 @@ class TestEscapeBounds:
                        (-1, -1): F(3, 40)}, (1, 1))
         assert exact_dp._gammas(skewed) == {0: F(2, 3), 1: F(3, 5)}
         assert exact_dp._modulus(skewed) == 4
+        # E, N, U at 1/4 and W, S, D at 1/12: a tilted 3D walk with m = 2 that
+        # can exit on all three axes, g_i = 1/3 on each
+        octant = walk({(1, 0, 0): F(1, 4), (0, 1, 0): F(1, 4), (0, 0, 1): F(1, 4),
+                       (-1, 0, 0): F(1, 12), (0, -1, 0): F(1, 12), (0, 0, -1): F(1, 12)},
+                      (1, 0, 2))
+        assert exact_dp._gammas(octant) == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
+        assert exact_dp._modulus(octant) == 2 and lattice_tilt(octant).powers != ()
         for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit,
-                      mod_2, mod_3, skewed):
+                      mod_2, mod_3, skewed, octant):
             bounds = escape_probability_bounds(model, 12)
             layers = list(survival_layers(model, 12))
             gammas = exact_dp._gammas(model)
@@ -634,6 +641,26 @@ class TestMemoryBudget:
         monkeypatch.setenv("CONEWALK_MEM_BUDGET", "0")
         with pytest.raises(MemoryBudgetExceeded):
             survival_sequence(five_step_model, 5)
+
+    def test_budget_message_reads_below_a_gib(self, five_step_model, monkeypatch):
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", str(40_000_000))
+        with pytest.raises(MemoryBudgetExceeded, match=r"\(budget 38\.1 MiB\); try horizon <= \d+$"):
+            survival_sequence(five_step_model, 1000)
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", str(10_000))
+        with pytest.raises(MemoryBudgetExceeded, match=r"needs ~\d+\.\d MiB \(budget 9\.8 KiB\)"):
+            survival_sequence(five_step_model, 500)
+
+    @pytest.mark.parametrize("budget", ["0", "200"])
+    def test_no_horizon_fits(self, five_step_model, monkeypatch, budget):
+        # horizon 0 holds layer 0 and its terms, more than these budgets
+        steps = exact_dp._kernel_steps(five_step_model, lattice_tilt(five_step_model))
+        assert _dp_bytes(five_step_model, 0, steps, exact_dp._keep(five_step_model)) > int(budget)
+        monkeypatch.setenv("CONEWALK_MEM_BUDGET", budget)
+        with pytest.raises(MemoryBudgetExceeded) as exc:
+            survival_sequence(five_step_model, 5)
+        assert str(exc.value).endswith(f"(budget {budget}.0 B); no horizon fits")
+        with pytest.raises(MemoryBudgetExceeded, match="no horizon fits"):
+            survival_sequence(five_step_model, 0)
 
     def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d,
                                            octant_3d, simple_walk_2d, monkeypatch):

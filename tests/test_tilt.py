@@ -137,10 +137,18 @@ class TestLatticeTilt:
         steps, _den = model.dist.integer_weights()
         assert sorted(exact_dp._kernel_steps(model, lattice_tilt(model))) == sorted(steps)
 
+    def test_tilt_carries_the_lattice_index(self):
+        # the identity tilt too: m is the modulus of the layers on every walk
+        no_tilt = [walk(weights, (0,) * len(next(iter(weights)))) for weights in NO_TILT.values()]
+        models = EXPONENTIAL + IDENTITY + no_tilt
+        assert all(lattice_tilt(model).m == exact_dp._modulus(model) for model in models)
+        assert {lattice_tilt(model).m for model in IDENTITY + no_tilt} == {1, 4}
+
     def test_rank_deficient_steps_get_no_tilt(self):
         with pytest.warns(UserWarning, match="do not span"):
             line = walk({(1, 1): F(1, 4), (-1, -1): F(1, 2), (2, 2): F(1, 4)}, (0, 0))
         _assert_identity(line)
+        assert lattice_tilt(line).m == exact_dp._modulus(line) == 1
         assert list(survival_sequence(line, 8).terms) == brute_force_survival(line, 8)
 
     def test_one_tilt_per_pass(self, monkeypatch, five_step_model, exterior_2d):
