@@ -71,7 +71,7 @@ from .errors import (
 )
 from .laplace import DriftClass, classify_drift, tilt_distribution
 from .lattice_tilt import LatticeTilt, lattice_tilt
-from .model import WalkModel, _echelon_pivots, excursion_target
+from .model import WalkModel, excursion_target
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
 A_INF_HORIZON = 100  # escape bounds at horizons 0..100 estimate P(tau = inf)
@@ -174,7 +174,7 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
     lists that keep them.  The peak is the largest step, the last one when
     the whole box is kept; horizon 0 holds layer 0 and its terms.
     """
-    m, d, start = _modulus(model), model.dimension, model.start
+    m, d, start = model.dist.lattice_index, model.dimension, model.start
     classes = m ** (d - 1)
     reach = max(0, *(sum(v) for v, _ in model.dist.steps))
     held, bits = 2, 0.0
@@ -235,20 +235,6 @@ def _size(nbytes: float) -> str:
             return f"{nbytes:.1f} {unit}"
         nbytes /= 1024
     return f"{nbytes:.1f} GiB"
-
-
-def _lattice_index(vectors) -> int:
-    """Index in Z^d of the lattice spanned by the differences v - v0 of the
-    given vectors, or 1 when that lattice is not of full rank."""
-    v0, *rest = vectors
-    pivots = _echelon_pivots([[a - b for a, b in zip(v, v0)] for v in rest], len(v0))
-    return abs(math.prod(pivots)) if len(pivots) == len(v0) else 1
-
-
-def _modulus(model: WalkModel) -> int:
-    """The modulus m of the residue classes a layer stores: the index of the
-    step-difference lattice."""
-    return _lattice_index([v for v, _ in model.dist.steps])
 
 
 def _kernel_steps(model: WalkModel, tilt: LatticeTilt) -> list:
@@ -397,7 +383,7 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
     _budget_states(model, n, steps, keep, dtype)
-    m = _modulus(model)
+    m = model.dist.lattice_index
     r = tuple(x % m for x in model.start)
     first = np.zeros(_class_shape([x + 1 for x in model.start], r, m), dtype=dtype)
     first[tuple(x // m for x in model.start)] = 1
@@ -429,8 +415,8 @@ def _masses(tilt: LatticeTilt, k: int, layer: dict) -> dict:
 def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
     """Exact state distributions P^x(tau>k, S_k = .) for k = 0..n."""
     den = model.dist.common_denominator
-    m = _modulus(model)
     tilt = lattice_tilt(model)
+    m = tilt.m
     for k, layer in enumerate(_integer_layers(model, n, tilt)):
         scale = den ** k
         masses = {}
@@ -535,7 +521,7 @@ def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt):
     entry y // m of class y mod m off layer k, weighed by w_k(y), which is 0
     where that class is not stored or y lies outside the box."""
     y = excursion_target(model, y)
-    m = _modulus(model)
+    m = tilt.m
     r, j = tuple(c % m for c in y), tuple(c // m for c in y)
 
     def readout(k: int, layer: dict):
@@ -576,7 +562,7 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
         raise ConewalkError(f"t0 has {len(t0)} coordinates; the walk has "
                             f"dimension {model.dimension}")
     tilted, _drift = tilt_distribution(model.dist, t0)
-    m = _modulus(model)
+    m = model.dist.lattice_index
     weights = [np.exp(-float(t) * np.arange(s)) for t, s in zip(t0, _box(model, n))]
 
     def readout(layer: dict) -> float:

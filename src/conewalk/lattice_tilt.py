@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import WalkModel, _echelon_pivots
+from .model import WalkModel
 
 
 class LatticeTilt:
@@ -46,9 +46,10 @@ class LatticeTilt:
 
     def axis_weights(self, lengths) -> tuple[list, int]:
         """Per axis i, the integers t_i[j] = a_i^j b_i^(L_i - 1 - j) for
-        j < L_i, with a_i / b_i = w_k(x + m e_i) / w_k(x) (None where that
-        ratio is 1), and their scale prod_i b_i^(L_i - 1): within a class,
-        w_k(x + m j) / w_k(x) = prod_i t_i[j_i] / scale."""
+        j < L_i, with a_i / b_i = w_k(x + m e_i) / w_k(x) in lowest terms
+        (None where that ratio is 1), and their scale prod_i b_i^(L_i - 1):
+        within a class, w_k(x + m j) / w_k(x) = prod_i t_i[j_i] / scale.  The
+        powers may repeat a q, so a q can enter both a_i and b_i."""
         vectors, scale = [], 1
         for i, length in enumerate(lengths):
             a = b = 1
@@ -57,6 +58,8 @@ class LatticeTilt:
                     a *= q ** u[i]
                 else:
                     b *= q ** -u[i]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
             vectors.append(None if a == b else np.array(
                 [a ** j * b ** (length - 1 - j) for j in range(length)], dtype=object))
             scale *= b ** (length - 1)
@@ -92,12 +95,14 @@ def _multiplicity(c: int, q: int) -> int:
 
 def _solve(rows, rhs):
     """The exact solution u of rows . u = rhs[:, j] for every column j, one
-    row of u per unknown, or None when some column has none.  The rows have
+    row of u per unknown, or None when some column has none or the rows lack
     full column rank."""
     d = len(rows[0])
     a = [[Fraction(x) for x in row] + [Fraction(y) for y in b] for row, b in zip(rows, rhs)]
     for col in range(d):
-        pivot = next(i for i in range(col, len(a)) if a[i][col])
+        pivot = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if pivot is None:
+            return None
         a[col], a[pivot] = a[pivot], a[col]
         a[col] = [x / a[col][col] for x in a[col]]
         a = [row if i == col or not row[col] else [x - row[col] * y for x, y in zip(row, a[col])]
@@ -113,19 +118,18 @@ def lattice_tilt(model: WalkModel) -> LatticeTilt:
     the exponent of q in c_v less that in c_v0 is, on every step, one
     rational linear form u_q of v - v0, solved for exactly.  Uniform walks,
     walks whose steps differ in fewer than d directions and weights with no
-    such phi get the identity tilt.
+    such phi get the identity tilt.  Its m is the index of L in Z^d either
+    way, 1 where L is not of full rank: ``StepDistribution.lattice_index``.
     """
     steps, _den = model.dist.integer_weights()
     (v0, c0), *rest = steps
-    d = model.dimension
-    rows = [[a - b for a, b in zip(v, v0)] for v, _ in rest]
-    pivots = _echelon_pivots(rows, d)
-    m = abs(math.prod(pivots)) if len(pivots) == d else 1  # the index of L in Z^d
+    d, m = model.dimension, model.dist.lattice_index
     identity = LatticeTilt(m, tuple(model.start), ())
-    if all(c == c0 for _, c in rest) or len(pivots) < d:
+    if all(c == c0 for _, c in rest):
         return identity
     base = _coprime_base([c for _, c in steps])
     exps = [[_multiplicity(c, q) for q in base] for _, c in steps]
+    rows = [[a - b for a, b in zip(v, v0)] for v, _ in rest]
     forms = _solve(rows, [[e - e0 for e, e0 in zip(row, exps[0])] for row in exps[1:]])
     if forms is None:
         return identity

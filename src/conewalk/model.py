@@ -54,6 +54,14 @@ def _echelon_pivots(vectors, d: int) -> list[int]:
     return pivots
 
 
+def _lattice_index(vectors) -> int:
+    """Index in Z^d of the lattice spanned by the differences v - v0 of the
+    given vectors, or 1 when that lattice is not of full rank."""
+    v0, *rest = vectors
+    pivots = _echelon_pivots([[a - b for a, b in zip(v, v0)] for v in rest], len(v0))
+    return abs(math.prod(pivots)) if len(pivots) == len(v0) else 1
+
+
 def _feasible(rows, rhs, free) -> bool:
     """True iff {y : rows . y <= rhs, y_i >= 0 unless free[i]} is non-empty.
 
@@ -169,6 +177,12 @@ class StepDistribution:
     def truly_d_dimensional(self) -> bool:
         pivots = _echelon_pivots([v for v, _ in self.steps], self.dimension)
         return len(pivots) == self.dimension
+
+    @cached_property
+    def lattice_index(self) -> int:
+        """The index of the step-difference lattice (``_lattice_index``): the
+        modulus of the residue classes an exact layer stores."""
+        return _lattice_index([v for v, _ in self.steps])
 
     @property
     def drift(self) -> tuple[Fraction, ...]:

@@ -34,7 +34,7 @@ from conewalk.errors import (
     UnsupportedCone,
 )
 from conewalk.laplace import tilt_distribution
-from conewalk.model import _echelon_pivots
+from conewalk.model import _echelon_pivots, _lattice_index
 
 
 def walk(weighted_steps, start):
@@ -211,7 +211,7 @@ class TestKernel:
         ([(1, 1), (-1, -1), (2, 2)], 1),  # one line: not of full rank
     ])
     def test_lattice_index(self, vectors, index):
-        assert exact_dp._lattice_index(vectors) == index
+        assert _lattice_index(vectors) == index
         assert _minors_lattice_index(vectors) == index
 
     def test_lattice_index_and_rank_match_oracles(self):
@@ -220,7 +220,7 @@ class TestKernel:
             d = int(rng.integers(1, 4))
             vectors = [tuple(int(c) for c in rng.integers(-3, 4, size=d))
                        for _ in range(int(rng.integers(1, 7)))]
-            assert exact_dp._lattice_index(vectors) == _minors_lattice_index(vectors)
+            assert _lattice_index(vectors) == _minors_lattice_index(vectors)
             assert len(_echelon_pivots(vectors, d)) == np.linalg.matrix_rank(
                 np.array(vectors, dtype=float))
 
@@ -231,7 +231,7 @@ class TestKernel:
         for model in (exterior_2d, octant_3d, simple_walk_2d, big_step_1d,
                       KREWERAS, DIAGONAL):
             vectors = [v for v, _ in model.dist.steps]
-            m = exact_dp._lattice_index(vectors)
+            m = _lattice_index(vectors)
             assert m > 1
             steps, _den = model.dist.integer_weights()
             reference = _reference_layers(model, 12, steps, object)
@@ -267,7 +267,7 @@ class TestKernel:
             t0 = analyze(model.dist, model.cone).t0
             tilted, _drift = tilt_distribution(model.dist, t0)
             steps, _den = model.dist.integer_weights()
-            m = exact_dp._modulus(model)
+            m = model.dist.lattice_index
             for weights, dtype, layers in (
                     (tilted, float, exact_dp._layers(model, n, tilted, float)),
                     (steps, object, _weighted_layers(model, n))):
@@ -338,12 +338,12 @@ class TestKeepBoxes:
                 (walk({(1,): F(3, 4), (-1,): F(1, 4)}, (2,)), (1,)),
                 (walk({(1, 0, 0): F(3, 10), (0, 1, 0): F(3, 10), (0, 0, 1): F(3, 10),
                        (-1, -1, -1): F(1, 10)}, (0, 1, 0)), (1, 1, 1))]
-        assert {exact_dp._modulus(model) > 1 for model, _ in cases} == {True, False}
+        assert {model.dist.lattice_index > 1 for model, _ in cases} == {True, False}
         n, with_bounds = 10, 0
         for model, target in cases:
             q = [max(0, *(-v[i] for v, _ in model.dist.steps))
                  for i in range(model.dimension)]
-            m = exact_dp._modulus(model)
+            m = model.dist.lattice_index
             den = model.dist.common_denominator
             tilt = lattice_tilt(model)
             reference = list(exact_dp._integer_layers(model, n, tilt))
@@ -552,16 +552,22 @@ class TestEscapeBounds:
         skewed = walk({(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
                        (-1, -1): F(3, 40)}, (1, 1))
         assert exact_dp._gammas(skewed) == {0: F(2, 3), 1: F(3, 5)}
-        assert exact_dp._modulus(skewed) == 4
+        assert skewed.dist.lattice_index == 4
         # E, N, U at 1/4 and W, S, D at 1/12: a tilted 3D walk with m = 2 that
         # can exit on all three axes, g_i = 1/3 on each
         octant = walk({(1, 0, 0): F(1, 4), (0, 1, 0): F(1, 4), (0, 0, 1): F(1, 4),
                        (-1, 0, 0): F(1, 12), (0, -1, 0): F(1, 12), (0, 0, -1): F(1, 12)},
                       (1, 0, 2))
         assert exact_dp._gammas(octant) == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
-        assert exact_dp._modulus(octant) == 2 and lattice_tilt(octant).powers != ()
+        assert octant.dist.lattice_index == 2 and lattice_tilt(octant).powers != ()
+        # tilt 2^(k + x + y) and g_0 = 1/2: term 0 of g weighs axis 0 by 2 * 1/2,
+        # ratio 1 after a base of the walk's tilt enters both sides of it
+        ratio_1 = walk({(1, 0): F(4, 11), (-1, 1): F(2, 11), (0, -1): F(1, 11),
+                        (0, 1): F(4, 11)}, (0, 0))
+        assert exact_dp._gammas(ratio_1)[0] == F(1, 2)
+        assert lattice_tilt(ratio_1).powers == ((2, 1, (1, 1)),)
         for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit,
-                      mod_2, mod_3, skewed, octant):
+                      mod_2, mod_3, skewed, octant, ratio_1):
             bounds = escape_probability_bounds(model, 12)
             layers = list(survival_layers(model, 12))
             gammas = exact_dp._gammas(model)

@@ -19,7 +19,7 @@ from conewalk import (
 )
 from conewalk import exact_dp
 from conewalk.lattice_tilt import _coprime_base, _multiplicity, lattice_tilt
-from test_exact_dp import DIAGONAL, _reference_layers, _scatter, walk
+from test_exact_dp import DIAGONAL, _minors_lattice_index, _reference_layers, _scatter, walk
 
 
 def _exponential_walk(rng, d: int, count: int, steps=None):
@@ -79,7 +79,7 @@ def _assert_identity(model):
 class TestLatticeTilt:
     def test_exponential_walks_are_tilted(self):
         assert all(lattice_tilt(model).powers != () for model in EXPONENTIAL)
-        assert {exact_dp._modulus(model) > 2 for model in EXPONENTIAL} == {True, False}
+        assert {model.dist.lattice_index > 2 for model in EXPONENTIAL} == {True, False}
         assert any(model.dimension == 1 for model in EXPONENTIAL)
         assert any(any(model.start) for model in EXPONENTIAL)
 
@@ -88,7 +88,7 @@ class TestLatticeTilt:
         # plain reference kernel, and w_k(x) times it is the weighted one
         for model in EXPONENTIAL:
             tilt = lattice_tilt(model)
-            m = exact_dp._modulus(model)
+            m = model.dist.lattice_index
             steps, _den = model.dist.integer_weights()
             unit = _reference_layers(model, 8, [(v, 1) for v, _ in steps], object)
             weighted = _reference_layers(model, 8, steps, object)
@@ -105,7 +105,7 @@ class TestLatticeTilt:
     def test_readouts_match_the_weighted_reference(self):
         # survival, the excursion and, on the bounds walks, g: the tilted walks
         # and the identity tilt's, read by the same readouts
-        assert {exact_dp._modulus(model) for model in IDENTITY} == {1, 4}
+        assert {model.dist.lattice_index for model in IDENTITY} == {1, 4}
         with_bounds = 0
         for model in EXPONENTIAL + IDENTITY:
             den = model.dist.common_denominator
@@ -141,14 +141,15 @@ class TestLatticeTilt:
         # the identity tilt too: m is the modulus of the layers on every walk
         no_tilt = [walk(weights, (0,) * len(next(iter(weights)))) for weights in NO_TILT.values()]
         models = EXPONENTIAL + IDENTITY + no_tilt
-        assert all(lattice_tilt(model).m == exact_dp._modulus(model) for model in models)
+        assert all(lattice_tilt(model).m == model.dist.lattice_index
+                   == _minors_lattice_index([v for v, _ in model.dist.steps]) for model in models)
         assert {lattice_tilt(model).m for model in IDENTITY + no_tilt} == {1, 4}
 
     def test_rank_deficient_steps_get_no_tilt(self):
         with pytest.warns(UserWarning, match="do not span"):
             line = walk({(1, 1): F(1, 4), (-1, -1): F(1, 2), (2, 2): F(1, 4)}, (0, 0))
         _assert_identity(line)
-        assert lattice_tilt(line).m == exact_dp._modulus(line) == 1
+        assert lattice_tilt(line).m == line.dist.lattice_index == 1
         assert list(survival_sequence(line, 8).terms) == brute_force_survival(line, 8)
 
     def test_one_tilt_per_pass(self, monkeypatch, five_step_model, exterior_2d):
@@ -207,7 +208,7 @@ class TestLongHorizonOracle:
         (p0, q0), (p1, q1) = (F(2, 3), F(1, 3)), (F(1, 4), F(3, 4))
         diagonal = walk({(a, b): (p0 if a > 0 else q0) * (p1 if b > 0 else q1)
                          for a in (1, -1) for b in (1, -1)}, (1, 2))
-        assert exact_dp._modulus(diagonal) == 4
+        assert diagonal.dist.lattice_index == 4
         assert lattice_tilt(diagonal).powers != ()
         x_axis = closed_form_coefficients(OneDimModel(p=p0, q=q0, x=1), 300)
         y_axis = closed_form_coefficients(OneDimModel(p=p1, q=q1, x=2), 300)
