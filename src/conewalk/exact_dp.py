@@ -25,28 +25,31 @@ where they read.  Within class r, w_k(r + m*j) is w_k(r) times one geometric
 factor per axis, so a slab is weighed by one integer vector per axis over
 one fixed scale (``_contract``), as the float functional is.
 
-``_read`` reads survival, the excursion and the escape bounds' g-functional
-off one pass, and ``survival_pass`` is the one call for all three.  It
-carries survival and g from layer to layer by subtracting what exits
-through the boundary slabs of each class: both f = 1 and g are harmonic for
-the free walk, so neither sums the layer.  Each carried functional is a
-lattice tilt with an integer start value over its own fixed scale: survival
-is the walk's tilt over 1, and g(x) = sum_i g_i^(x_i + 1) is d more tilts,
-the walk's times g_i^(x_i - start_i), over a product of powers of the g_i
-denominators.  So the carry runs on Python ints with no gcd, and one sweep
-over each step's exit slabs weighs every functional by one rule.  The
-excursion readout is one entry of one class.
+``_read`` is the one readout of every exact sequence: survival, the
+excursion and the escape bounds' g-functional, off one pass.
+``survival_pass`` is the one call for all three, and ``excursion_sequence``
+the readout carrying nothing.  ``_read`` carries survival and g from layer
+to layer by subtracting what exits through the boundary slabs of each class:
+both f = 1 and g are harmonic for the free walk, so neither sums the layer.
+Each carried functional is a lattice tilt with an integer start value over
+its own fixed scale: survival is the walk's tilt over 1, and
+g(x) = sum_i g_i^(x_i + 1) is d more tilts, the walk's times
+g_i^(x_i - start_i), over a product of powers of the g_i denominators.  So
+the carry runs on Python ints with no gcd, and one sweep over each step's
+exit slabs weighs every functional by one rule.  The excursion readout is
+one entry of one class.
 
 So a layer matters only where it can still exit by the horizon n or reach
 the target, and the kernel writes each class only inside a list of disjoint
 keep boxes (``_keep``).  With q_i the largest descent of a step on axis i,
 an entry x of layer k can exit by step n only if x_i < (n - k) q_i on some
 axis: the band, d slabs.  It can reach the target y only if
-x_i <= y_i + (n - k) q_i on every axis: one box, of which ``_read`` keeps the
-corner beyond the band and ``excursion_sequence`` the whole.  Both sets hold
-the predecessors of their entries, so every kept entry is exact and the rest
-stay zero; this halves the entries a 2D pass writes.  ``survival_layers``
-and the tilted functional read whole layers and keep the whole box.
+x_i <= y_i + (n - k) q_i on every axis: one box, of which a carrying pass
+keeps the corner beyond the band and the excursion alone the whole.  Both
+sets hold the predecessors of their entries, so every kept entry is exact
+and the rest stay zero; this halves the entries a 2D pass writes.
+``survival_layers`` and the tilted functional read whole layers and keep the
+whole box.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .errors import (
 )
 from .laplace import DriftClass, classify_drift, tilt_distribution
 from .lattice_tilt import LatticeTilt, lattice_tilt
-from .model import WalkModel, excursion_target
+from .model import WalkModel, _integers, excursion_target
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
 A_INF_HORIZON = 100  # escape bounds at horizons 0..100 estimate P(tau = inf)
@@ -378,6 +381,7 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     horizon, the cone and the memory budget are checked at the call, before
     the first layer is asked for.
     """
+    [n] = _integers([n], "the horizon", ConewalkError)
     if n < 0:
         raise ConewalkError(f"the horizon must be non-negative, got {n}")
     if not model.cone.is_orthant:
@@ -440,13 +444,16 @@ def _exit_slabs(layer: dict, v, m: int):
                 yield a[slab], [t + m * (c + b) for t, c, b in zip(to, lo, shift)]
 
 
-def _read(model: WalkModel, n: int, target=None, gammas=None):
-    """Read the survival sequence, the excursion sequence at ``target`` (None
-    without one) and, given the ratios ``gammas`` of ``_gammas``, the terms of
-    the escape bounds' g-functional (else None) off one pass over the integer
-    layers 0..n.
+def _read(model: WalkModel, n: int, target=None, gammas=None, survival: bool = True):
+    """Read the survival sequence (None without ``survival``), the excursion
+    sequence at ``target`` (None without one) and, given the ratios
+    ``gammas`` of ``_gammas``, the terms of the escape bounds' g-functional
+    (else None) off one pass over the integer layers 0..n.  This is the one
+    readout of every exact sequence.
 
-    A carried functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
+    The excursion is entry y // m of class y mod m, weighed by w_k(y), and 0
+    where that class is not stored or y lies outside the box.  A carried
+    functional F_k = sum_x layer_k[x] f(x) has an f harmonic for the
     free walk, sum_v c_v f(x + v) = D f(x), so it starts at f(start) and steps
     to D F_k - sum_v c_v (sum of layer_k[x] f(x + v) over the x with x + v
     outside the orthant).  The layer holds N_k and layer_k[x] = w_k(x) N_k(x)
@@ -460,29 +467,38 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
     ints.  One sweep over each step's slabs serves every functional, and the
     terms need layer k only where it can still exit by step n or reach the
     target: the pass keeps the band and the target's corner of ``_keep``.
+    Without ``survival`` nothing is carried, so no slab is swept and the pass
+    keeps only the target's box.
     """
     den = model.dist.common_denominator
     tilt = lattice_tilt(model)
     m, steps = tilt.m, _kernel_steps(model, tilt)
     if target is not None:
-        target, readout = _excursion_readout(model, target, tilt)
+        target = excursion_target(model, target)
+        cls, entry = tuple(c % m for c in target), tuple(c // m for c in target)
     # the call checks the horizon and the memory budget, so before g's scale
-    layers = _integer_layers(model, n, tilt, _keep(model, target))
+    layers = _integer_layers(model, n, tilt, _keep(model, target, band=survival))
     box = _box(model, n)
     scale, carried = _g_tilts(tilt, gammas, box) if gammas is not None else (1, [])
     shape = _class_shape(box, [0] * model.dimension, m)
-    carried = [(t, b, *t.axis_weights(shape)) for t, b in [(tilt, 1)] + carried]
+    carried = [(t, b, *t.axis_weights(shape))
+               for t, b in ([(tilt, 1)] + carried if survival else [])]
     values = [b for _, b, _, _ in carried]
-    survival, g_terms, excursion = [], [], []
+    terms, g_terms, excursion = [], [], []
     for k, layer in enumerate(layers):
         power = den ** k
-        survival.append(Fraction(values[0], power))
+        if survival:
+            terms.append(Fraction(values[0], power))
         if gammas is not None:
             g_terms.append(Fraction(sum(values[1:]), power * scale))
         if target is not None:
-            excursion.append(Fraction(readout(k, layer), power))
-        if k == n:
-            break
+            a = layer.get(cls)
+            count = (a[entry] if a is not None and all(c < s for c, s in zip(entry, a.shape))
+                     else 0)
+            num, div = tilt.weight(k, target)
+            excursion.append(Fraction(count * num // div, power))
+        if k == n or not carried:
+            continue
         exits = [0] * len(carried)
         for v, c in steps:
             for slab, corner in _exit_slabs(layer, v, m):
@@ -491,7 +507,7 @@ def _read(model: WalkModel, n: int, target=None, gammas=None):
                     exits[j] += c * b * num * _contract(slab, axes) // (div * unit)
         values = [den * value - e for value, e in zip(values, exits)]
     h = model.model_hash()
-    return (ExactSequence(tuple(survival), "survival", h, n),
+    return (ExactSequence(tuple(terms), "survival", h, n) if survival else None,
             ExactSequence(tuple(excursion), "excursion", h, n, target=target)
             if target is not None else None,
             tuple(g_terms) if gammas is not None else None)
@@ -501,36 +517,18 @@ def _g_tilts(tilt: LatticeTilt, gammas: dict, box) -> tuple[int, list]:
     """The g-functional g(x) = sum_i g_i^(x_i + 1) as ``_read`` carries it:
     the scale s = prod_i p_i^E_i, for g_i = q_i/p_i and E_i the box side of
     the last layer, and per term i the walk's tilt times g_i^(x_i - start_i)
-    with its start value s g_i^(start_i + 1).  No exponent x_i + 1 of a state
-    that a layer before the last holds or steps to exceeds E_i, so
-    s g_i^(x_i + 1) is an integer wherever the carry reads it."""
-    m, start = tilt.m, tilt.start
+    (``LatticeTilt.times_power``) with its start value s g_i^(start_i + 1).
+    No exponent x_i + 1 of a state that a layer before the last holds or
+    steps to exceeds E_i, so s g_i^(x_i + 1) is an integer wherever the carry
+    reads it."""
+    start = tilt.start
     scale = math.prod(g.denominator ** box[i] for i, g in gammas.items())
     carried = []
     for i, g in gammas.items():
         q, p, e = g.numerator, g.denominator, box[i]
-        axis = tuple(m if j == i else 0 for j in range(len(box)))
-        powers = tilt.powers + ((q, 0, axis), (p, 0, tuple(-c for c in axis)))
-        carried.append((LatticeTilt(m, start, powers),
+        carried.append((tilt.times_power(i, g),
                         q ** (start[i] + 1) * p ** (e - start[i] - 1) * scale // p ** e))
     return scale, carried
-
-
-def _excursion_readout(model: WalkModel, y, tilt: LatticeTilt):
-    """Check an excursion target y; return it as a tuple with the readout of
-    entry y // m of class y mod m off layer k, weighed by w_k(y), which is 0
-    where that class is not stored or y lies outside the box."""
-    y = excursion_target(model, y)
-    m = tilt.m
-    r, j = tuple(c % m for c in y), tuple(c // m for c in y)
-
-    def readout(k: int, layer: dict):
-        a = layer.get(r)
-        count = a[j] if a is not None and all(c < s for c, s in zip(j, a.shape)) else 0
-        num, den = tilt.weight(k, y)
-        return count * num // den
-
-    return y, readout
 
 
 def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
@@ -540,13 +538,9 @@ def survival_sequence(model: WalkModel, n: int) -> ExactSequence:
 
 def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     """Exact excursion probabilities e_k = P^x(tau>k, S_k=y), k = 0..n, off
-    a pass that keeps only the states that can still reach y."""
-    tilt = lattice_tilt(model)
-    y, readout = _excursion_readout(model, y, tilt)
-    den = model.dist.common_denominator
-    layers = _integer_layers(model, n, tilt, _keep(model, y, band=False))
-    terms = tuple(Fraction(readout(k, layer), den ** k) for k, layer in enumerate(layers))
-    return ExactSequence(terms, "excursion", model.model_hash(), n, target=y)
+    a pass that carries nothing and keeps only the states that can still
+    reach y."""
+    return _read(model, n, y, survival=False)[1]
 
 
 def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
@@ -563,6 +557,7 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
                             f"dimension {model.dimension}")
     tilted, _drift = tilt_distribution(model.dist, t0)
     m = model.dist.lattice_index
+    layers = _layers(model, n, tilted, float)  # checks the horizon before _box reads it
     weights = [np.exp(-float(t) * np.arange(s)) for t, s in zip(t0, _box(model, n))]
 
     def readout(layer: dict) -> float:
@@ -571,7 +566,7 @@ def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
             total += float(_contract(a, [w[c::m] for w, c in zip(weights, r)]))
         return total
 
-    return [readout(layer) for layer in _layers(model, n, tilted, float)]
+    return [readout(layer) for layer in layers]
 
 
 def bounds_error(model: WalkModel) -> ConewalkError | None:

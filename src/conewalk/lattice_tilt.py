@@ -44,6 +44,13 @@ class LatticeTilt:
                 den *= q ** -e
         return num, den
 
+    def times_power(self, axis: int, ratio: Fraction) -> LatticeTilt:
+        """This tilt times ratio^(x_axis - start_axis), for a ratio q/p > 0:
+        q with U_q = m e_axis and p with U_p = -m e_axis, both with A = 0."""
+        unit = tuple(self.m if i == axis else 0 for i in range(len(self.start)))
+        return LatticeTilt(self.m, self.start, self.powers + (
+            (ratio.numerator, 0, unit), (ratio.denominator, 0, tuple(-c for c in unit))))
+
     def axis_weights(self, lengths) -> tuple[list, int]:
         """Per axis i, the integers t_i[j] = a_i^j b_i^(L_i - 1 - j) for
         j < L_i, with a_i / b_i = w_k(x + m e_i) / w_k(x) in lowest terms

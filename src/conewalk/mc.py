@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConewalkError
 from .laplace import LaplaceAnalysis
-from .model import WalkModel
+from .model import WalkModel, _integers
 
 N_STREAMS = 16
 
@@ -98,7 +98,7 @@ def _run_streams(walk, samples: int, workers: int):
     """Run the non-empty streams, each worker one contiguous chunk through
     ``walk``, and return its per-stream results in stream order."""
     jobs = [(s, c) for s, c in enumerate(_stream_counts(samples)) if c > 0]
-    chunks = _chunks(jobs, max(workers, 1))
+    chunks = _chunks(jobs, workers)
     if len(chunks) == 1:
         return walk(chunks[0])
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
@@ -162,10 +162,12 @@ def _estimate(model: WalkModel, weighted_steps, t0, rho: float, n: int,
               samples: int, seed: int, workers: int, method: str) -> McEstimate:
     """Mean and std error of rho^n e^{<t0,x>} e^{-<t0,S_n>} over the paths
     that stay in the cone, walked under the given step weights."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    n, samples, workers = _integers([n, samples, workers], "the horizon, samples and workers",
+                                    ConewalkError)
     if n < 0:
         raise ConewalkError(f"the horizon must be non-negative, got {n}")
+    if min(samples, workers) < 1:
+        raise ConewalkError(f"samples and workers must be positive, got {samples} and {workers}")
     t0 = np.asarray(t0, dtype=float)
     prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 

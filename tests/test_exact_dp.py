@@ -117,6 +117,18 @@ def _reference_layers(model, n, steps, dtype):
         yield layer
 
 
+# every public exact pass, each run as run(model, n)
+PASSES = [
+    survival_sequence,
+    lambda model, n: excursion_sequence(model, (0, 0), n),
+    escape_probability_bounds,
+    exact_dp.survival_pass,
+    lambda model, n: list(survival_layers(model, n)),
+    lambda model, n: tilted_survival_functional(model, (0.0, 0.0), n),
+]
+PASS_IDS = ["survival", "excursion", "bounds", "pass", "layers", "tilted"]
+
+
 class TestSurvival:
     def test_five_step_prefix(self, five_step_model):
         seq = survival_sequence(five_step_model, 2)
@@ -169,17 +181,16 @@ class TestSurvival:
         with pytest.raises(UnsupportedCone):
             survival_sequence(model, 3)
 
-    @pytest.mark.parametrize("run", [
-        survival_sequence,
-        lambda model, n: excursion_sequence(model, (0, 0), n),
-        escape_probability_bounds,
-        exact_dp.survival_pass,
-        lambda model, n: list(survival_layers(model, n)),
-        lambda model, n: tilted_survival_functional(model, (0.0, 0.0), n),
-    ], ids=["survival", "excursion", "bounds", "pass", "layers", "tilted"])
+    @pytest.mark.parametrize("run", PASSES, ids=PASS_IDS)
     def test_negative_horizon_rejected(self, five_step_model, run):
         with pytest.raises(ConewalkError, match="non-negative"):
             run(five_step_model, -1)
+
+    @pytest.mark.parametrize("n", [True, 2.0, 2.5, "3"], ids=["bool", "float", "fraction", "str"])
+    @pytest.mark.parametrize("run", PASSES, ids=PASS_IDS)
+    def test_non_integer_horizon_rejected(self, five_step_model, run, n):
+        with pytest.raises(ConewalkError, match="the horizon must be integers"):
+            run(five_step_model, n)
 
 
 class TestLayers:
@@ -407,6 +418,43 @@ class TestExcursion:
         seq = excursion_sequence(exterior_2d, (0, 0), n)
         for k, layer in enumerate(layers):
             assert seq.terms[k] == layer.masses.get((0, 0), F(0))
+
+    def test_carries_nothing_and_keeps_the_target_cut(self, five_step_model, exterior_2d,
+                                                      monkeypatch):
+        # the excursion-only pass sweeps no exit slab and keeps the target's
+        # box alone, not the band that survival needs
+        slabs, passes = [], []
+        exit_slabs, integer_layers = exact_dp._exit_slabs, exact_dp._integer_layers
+
+        def counted(*args):
+            slabs.append(args)
+            return exit_slabs(*args)
+
+        def recorded(*args):
+            passes.append(list(integer_layers(*args)))
+            return iter(passes[-1])
+
+        monkeypatch.setattr(exact_dp, "_exit_slabs", counted)
+        monkeypatch.setattr(exact_dp, "_integer_layers", recorded)
+        survival_sequence(five_step_model, 5)
+        assert slabs
+        n = 30
+        for model, y in ((five_step_model, (1, 1)), (exterior_2d, (0, 0))):
+            slabs.clear()
+            passes.clear()
+            excursion_sequence(model, y, n)
+            assert not slabs
+            tilt = lattice_tilt(model)
+            [kept] = passes
+            cut = list(integer_layers(model, n, tilt, exact_dp._keep(model, y, band=False)))
+            banded = list(integer_layers(model, n, tilt, exact_dp._keep(model, y)))
+            assert len(kept) == n + 1
+            for layer, want, wide in zip(kept, cut, banded):
+                assert layer.keys() == want.keys()
+                for r, a in layer.items():
+                    assert a.shape == want[r].shape and (a == want[r]).all()
+            assert any(a.shape != wide[r].shape
+                       for layer, wide in zip(kept, banded) for r, a in layer.items())
 
     def test_one_pass_reads_the_excursion(self, exterior_2d, simple_walk_2d,
                                           big_step_2d, octant_3d, five_step_model):

@@ -118,8 +118,25 @@ class TestSimulateSurvival:
         assert a.mean != b.mean
 
     def test_rejects_zero_samples(self, five_step_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConewalkError):
             simulate_survival(five_step_model, 5, 0, seed=0)
+
+    @pytest.mark.parametrize("n, samples, workers, message", [
+        (2.5, 10, 1, r"must be integers, got \[2.5, 10, 1\]"),
+        (True, 10, 1, r"must be integers, got \[True, 10, 1\]"),
+        (5, 10.0, 1, r"must be integers, got \[5, 10.0, 1\]"),
+        (5, 10, 1.0, r"must be integers, got \[5, 10, 1.0\]"),
+        (5, -3, 1, "samples and workers must be positive, got -3 and 1"),
+        (5, 10, 0, "samples and workers must be positive, got 10 and 0"),
+        (5, 10, -1, "samples and workers must be positive, got 10 and -1"),
+    ], ids=["float-horizon", "bool-horizon", "float-samples", "float-workers",
+            "negative-samples", "zero-workers", "negative-workers"])
+    def test_rejects_bad_counts(self, five_step_model, n, samples, workers, message):
+        an = analyze(five_step_model.dist, five_step_model.cone)
+        with pytest.raises(ConewalkError, match=message):
+            simulate_survival(five_step_model, n, samples, seed=0, workers=workers)
+        with pytest.raises(ConewalkError, match=message):
+            simulate_tilted(five_step_model, an, n, samples, seed=0, workers=workers)
 
     def test_rejects_negative_horizon(self, exterior_2d):
         # the exterior's walkers die, so a missing check fails rather than hangs
