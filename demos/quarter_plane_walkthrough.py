@@ -9,23 +9,15 @@ linear recurrence.
 Run:  python3 demos/quarter_plane_walkthrough.py
 """
 
-from fractions import Fraction as F
-
 from conewalk import (
-    ConeSpec,
-    StepDistribution,
     analyze,
-    build_model,
     escape_probability_bounds,
     guess_recurrence,
     survival_sequence,
 )
+from conewalk._zoo import FIVE_STEP as model
 
-dist = StepDistribution(2, (
-    ((1, 0), F(1, 5)), ((0, -1), F(1, 5)), ((-1, 0), F(1, 5)),
-    ((0, 1), F(1, 5)), ((1, 1), F(1, 5)),
-))
-model = build_model(dist, ConeSpec.orthant(2), (0, 0))
+dist = model.dist
 
 print("model:", dict(dist.steps))
 print("drift:", tuple(str(c) for c in dist.drift))

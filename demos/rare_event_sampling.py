@@ -10,25 +10,16 @@ result is bit-identical no matter how many workers run.
 Run:  python3 demos/rare_event_sampling.py
 """
 
-from fractions import Fraction as F
-
 from conewalk import (
-    ConeSpec,
-    StepDistribution,
     analyze,
-    build_model,
     simulate_survival,
     simulate_tilted,
     survival_sequence,
 )
+from conewalk._zoo import EXTERIOR as model
 
-dist = StepDistribution(2, (
-    ((1, 0), F(1, 6)), ((0, 1), F(1, 6)),
-    ((-1, 0), F(1, 3)), ((0, -1), F(1, 3)),
-))
-model = build_model(dist, ConeSpec.orthant(2), (0, 0))
-an = analyze(dist, model.cone)
-print(f"drift {tuple(str(c) for c in dist.drift)} -> rho = {an.rho:.6f}")
+an = analyze(model.dist, model.cone)
+print(f"drift {tuple(str(c) for c in model.dist.drift)} -> rho = {an.rho:.6f}")
 print(f"tilted weights: {[(v, round(w, 4)) for v, w in an.tilted_steps]}")
 print(f"tilted drift:   {tuple(round(c, 12) for c in an.tilted_drift)}")
 

@@ -13,14 +13,12 @@ Run:  python3 demos/recurrence_guessing.py
 from fractions import Fraction as F
 
 from conewalk import (
-    ConeSpec,
     RecurrenceModel,
-    StepDistribution,
-    build_model,
     excursion_sequence,
     guess_recurrence,
     survival_sequence,
 )
+from conewalk._zoo import SIMPLE as model
 
 # --- controls with known answers -------------------------------------------
 fib = [F(1), F(1)]
@@ -38,11 +36,6 @@ print(f"geometric (2/3)^n: order {found.order}, "
       f"coefficients {[str(c) for c in found.coefficients]}")
 
 # --- quarter-plane walks ----------------------------------------------------
-simple = StepDistribution(2, (
-    ((1, 0), F(1, 4)), ((-1, 0), F(1, 4)), ((0, 1), F(1, 4)), ((0, -1), F(1, 4)),
-))
-model = build_model(simple, ConeSpec.orthant(2), (0, 0))
-
 survival = survival_sequence(model, 120).terms
 print(f"\nsimple-walk survival, 120 exact terms: "
       f"{guess_recurrence(survival, 30)}")

@@ -76,7 +76,7 @@ def _step_sampler(weights):
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -168,6 +168,9 @@ def _estimate(model: WalkModel, weighted_steps, t0, rho: float, n: int,
         raise ConewalkError(f"the horizon must be non-negative, got {n}")
     if min(samples, workers) < 1:
         raise ConewalkError(f"samples and workers must be positive, got {samples} and {workers}")
+    [seed] = _integers([seed], "the seed", ConewalkError)
+    if not 0 <= seed < 2 ** 64:
+        raise ConewalkError(f"the seed must be in [0, 2^64), got {seed}")
     t0 = np.asarray(t0, dtype=float)
     prefactor = rho ** n * math.exp(float(t0 @ np.asarray(model.start, dtype=np.int64)))
 

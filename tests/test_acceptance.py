@@ -19,7 +19,6 @@ from conewalk import (
     analyze,
     brute_force_excursion,
     brute_force_survival,
-    build_model,
     classify_drift,
     closed_form_coefficients,
     escape_probability_bounds,
@@ -35,6 +34,8 @@ from conewalk import (
     survival_sequence,
     tilted_survival_functional,
 )
+from conewalk._zoo import (EXTERIOR, FIVE_STEP, NEG_1D, POS_1D, SIMPLE, SYM_1D, TRAPPED,
+                           walk)
 from conewalk.errors import Unbounded
 from conewalk.seqlab import power_law_slope
 
@@ -50,35 +51,17 @@ def _oned(p, x=0):
     return OneDimModel(p=F(p), q=1 - F(p), x=x).to_walk_model()
 
 
-def _twod(weights, start=(0, 0)):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dist = StepDistribution(2, tuple(weights.items()))
-        return build_model(dist, ConeSpec.orthant(2), start)
-
-
-FIVE_STEP = _twod({(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5),
-                   (0, 1): F(1, 5), (1, 1): F(1, 5)})
-SIMPLE_WALK = _twod({(1, 0): F(1, 4), (-1, 0): F(1, 4),
-                     (0, 1): F(1, 4), (0, -1): F(1, 4)})
-EXTERIOR_2D = _twod({(1, 0): F(1, 6), (0, 1): F(1, 6),
-                     (-1, 0): F(1, 3), (0, -1): F(1, 3)})
-NEG_1D = _oned(F(1, 4))
-POS_1D = _oned(F(3, 4))
-
-
 def test_criterion_01_oracle_equivalence():
     started = time.monotonic()
-    models = [
-        _oned(F(1, 2)), _oned(F(1, 4)), _oned(F(3, 4)),
-        _oned(F(2, 3), x=1), _oned(F(1, 3), x=2),
-        FIVE_STEP, SIMPLE_WALK, EXTERIOR_2D,
-        _twod({(1, 0): F(1, 2), (0, 1): F(1, 2)}),                 # trapped
-        _twod({(1, 1): F(1, 3), (0, -1): F(1, 3), (-1, 0): F(1, 3)}),
-        _twod({(1, 0): F(1, 2), (-1, -1): F(1, 2)}),
-        _twod({(1, 0): F(3, 5), (-1, 0): F(1, 5), (0, -1): F(1, 5)},
-              start=(1, 1)),
-    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        models = [
+            SYM_1D, NEG_1D, POS_1D, _oned(F(2, 3), x=1), _oned(F(1, 3), x=2),
+            FIVE_STEP, SIMPLE, EXTERIOR, TRAPPED,
+            walk({(1, 1): F(1, 3), (0, -1): F(1, 3), (-1, 0): F(1, 3)}, (0, 0)),
+            walk({(1, 0): F(1, 2), (-1, -1): F(1, 2)}, (0, 0)),
+            walk({(1, 0): F(3, 5), (-1, 0): F(1, 5), (0, -1): F(1, 5)}, (1, 1)),
+        ]
     assert len(models) == 12
     for model in models:
         assert list(survival_sequence(model, 10).terms) == \
@@ -107,14 +90,14 @@ def test_criterion_03_rate_recovery():
     started = time.monotonic()
     t0, rho, _ = minimize_over_dual(NEG_1D.dist, NEG_1D.cone)
     assert abs(rho - math.sqrt(3) / 2) <= 1e-10
-    t0, rho2, _ = minimize_over_dual(EXTERIOR_2D.dist, EXTERIOR_2D.cone)
+    t0, rho2, _ = minimize_over_dual(EXTERIOR.dist, EXTERIOR.cone)
     assert abs(rho2 - 2 * math.sqrt(2) / 3) <= 1e-10
 
     terms_1d = closed_form_coefficients(OneDimModel(p=F(1, 4), q=F(3, 4)), 400)
     est = estimate_rho(terms_1d)
     assert abs(est.rho_hat - math.sqrt(3) / 2) <= 0.01 * (math.sqrt(3) / 2)
 
-    terms_2d = survival_sequence(EXTERIOR_2D, 400).terms
+    terms_2d = survival_sequence(EXTERIOR, 400).terms
     est2 = estimate_rho(terms_2d)
     assert abs(est2.rho_hat - rho2) <= 0.01 * rho2
     elapsed = time.monotonic() - started
@@ -127,7 +110,7 @@ def test_criterion_03_rate_recovery():
 def test_criterion_04_fundamental_relation():
     started = time.monotonic()
     worst = 0.0
-    for model in (NEG_1D, EXTERIOR_2D):
+    for model in (NEG_1D, EXTERIOR):
         an = analyze(model.dist, model.cone)
         exact = survival_sequence(model, 200).floats()
         func = tilted_survival_functional(model, an.t0, 200)
@@ -177,13 +160,12 @@ def test_criterion_05_kkt_geometry():
 
 def test_criterion_06_non_rationality_evidence():
     started = time.monotonic()
-    for model in (FIVE_STEP, SIMPLE_WALK):
+    for model in (FIVE_STEP, SIMPLE):
         verdict = guess_recurrence(survival_sequence(model, 120).terms, 30)
         assert isinstance(verdict, NoRecurrenceUpTo)
         assert verdict.order_cap == 30
 
-    trapped = _twod({(1, 0): F(1, 2), (0, 1): F(1, 2)})
-    found = guess_recurrence(survival_sequence(trapped, 120).terms, 30)
+    found = guess_recurrence(survival_sequence(TRAPPED, 120).terms, 30)
     assert isinstance(found, RecurrenceModel) and found.order == 1
 
     fib = [F(1), F(1)]
@@ -236,9 +218,9 @@ def test_criterion_08_subexponential_profile():
 
 def test_criterion_09_excursion_exponent():
     started = time.monotonic()
-    _, rho_tilde = minimize_global(SIMPLE_WALK.dist)
+    _, rho_tilde = minimize_global(SIMPLE.dist)
     assert abs(rho_tilde - 1.0) <= 1e-10
-    terms = excursion_sequence(SIMPLE_WALK, (0, 0), 400).terms
+    terms = excursion_sequence(SIMPLE, (0, 0), 400).terms
     fit = excursion_exponent_fit(terms, rho_tilde, (100, 400))
     assert all(n % 2 == 0 for n in fit.indices_used)
     assert abs(fit.kappa - 3.0) <= 0.15

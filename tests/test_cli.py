@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conewalk import (
+    _zoo,
     cli,
     escape_probability_bounds,
     exact_dp,
@@ -18,67 +19,33 @@ from conewalk import (
 )
 from conewalk.cli import main, run_report
 
-FIVE_STEP = {
-    "dimension": 2,
-    "steps": [
-        {"v": [1, 0], "w": "1/5"}, {"v": [0, -1], "w": "1/5"},
-        {"v": [-1, 0], "w": "1/5"}, {"v": [0, 1], "w": "1/5"},
-        {"v": [1, 1], "w": "1/5"},
-    ],
-    "cone": {"type": "orthant"},
-    "start": [0, 0],
-}
+FIVE_STEP = _zoo.FIVE_STEP.to_dict()
 
-NEG_1D = {
-    "dimension": 1,
-    "steps": [{"v": [1], "w": "1/4"}, {"v": [-1], "w": "3/4"}],
-    "cone": {"type": "orthant"},
-    "start": [0],
-}
 
-# exterior drift (-1/6, -1/6): no escape bounds, lattice index 2
-EXTERIOR = {
-    "dimension": 2,
-    "steps": [{"v": [1, 0], "w": "1/6"}, {"v": [0, 1], "w": "1/6"},
-              {"v": [-1, 0], "w": "1/3"}, {"v": [0, -1], "w": "1/3"}],
-    "cone": {"type": "orthant"},
-    "start": [0, 0],
-}
-
-POS_1D = {
-    "dimension": 1,
-    "steps": [{"v": [1], "w": "3/4"}, {"v": [-1], "w": "1/4"}],
-    "cone": {"type": "orthant"},
-    "start": [0],
-}
+def _model_file(tmp_path_factory, name, model):
+    path = tmp_path_factory.mktemp("models") / f"{name}.json"
+    path.write_text(json.dumps(model.to_dict()))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
 def five_step_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "fivestep.json"
-    path.write_text(json.dumps(FIVE_STEP))
-    return str(path)
+    return _model_file(tmp_path_factory, "fivestep", _zoo.FIVE_STEP)
 
 
 @pytest.fixture(scope="module")
 def neg_1d_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "neg1d.json"
-    path.write_text(json.dumps(NEG_1D))
-    return str(path)
+    return _model_file(tmp_path_factory, "neg1d", _zoo.NEG_1D)
 
 
 @pytest.fixture(scope="module")
 def exterior_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "exterior.json"
-    path.write_text(json.dumps(EXTERIOR))
-    return str(path)
+    return _model_file(tmp_path_factory, "exterior", _zoo.EXTERIOR)
 
 
 @pytest.fixture(scope="module")
 def pos_1d_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "pos1d.json"
-    path.write_text(json.dumps(POS_1D))
-    return str(path)
+    return _model_file(tmp_path_factory, "pos1d", _zoo.POS_1D)
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +343,12 @@ class TestErrorsAndExitCodes:
         doc, code = run_report(["rho", "--model", neg_1d_path, "--out", str(out)])
         assert code == 2
         assert doc["error"].startswith("FileExistsError: ")
+
+    def test_negative_seed(self, five_step_path):
+        doc, code = run_report(["analyze", "--model", five_step_path, "--horizon", "10",
+                                "--samples", "100", "--seed", "-1"])
+        assert code == 2
+        assert doc["error"] == "ConewalkError: the seed must be in [0, 2^64), got -1"
 
     def test_malformed_model(self, tmp_path):
         path = tmp_path / "bad.json"

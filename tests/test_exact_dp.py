@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 
 from conewalk import (
-    ConeSpec,
-    StepDistribution,
     analyze,
     brute_force_excursion,
     brute_force_survival,
-    build_model,
     escape_probability_bounds,
     excursion_sequence,
     survival_layers,
@@ -22,6 +19,8 @@ from conewalk import (
     tilted_survival_functional,
 )
 from conewalk import exact_dp
+from conewalk._zoo import (DIAGONAL, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D, POS_1D, SKEWED,
+                           TILTED_OCTANT, walk)
 from conewalk.exact_dp import _dp_bytes
 from conewalk.lattice_tilt import lattice_tilt
 from conewalk.errors import (
@@ -36,15 +35,7 @@ from conewalk.errors import (
 from conewalk.laplace import tilt_distribution
 from conewalk.model import _echelon_pivots, _lattice_index
 
-
-def walk(weighted_steps, start):
-    dist = StepDistribution(len(start), tuple(weighted_steps.items()))
-    return build_model(dist, ConeSpec.orthant(len(start)), start)
-
-
 KREWERAS = walk({(-1, 0): F(1, 3), (0, -1): F(1, 3), (1, 1): F(1, 3)}, (0, 0))
-DIAGONAL = walk({(1, 1): F(1, 8), (-1, 1): F(3, 8), (1, -1): F(1, 8),
-                 (-1, -1): F(3, 8)}, (1, 2))
 
 
 def _det(rows) -> int:
@@ -155,8 +146,7 @@ class TestSurvival:
         assert all(a >= b for a, b in zip(terms, terms[1:]))
 
     def test_offset_start(self):
-        dist = StepDistribution(1, (((1,), F(1, 4)), ((-1,), F(3, 4))))
-        model = build_model(dist, ConeSpec.orthant(1), (2,))
+        model = replace(NEG_1D, start=(2,))
         seq = survival_sequence(model, 6)
         assert list(seq.terms) == brute_force_survival(model, 6)
 
@@ -175,9 +165,7 @@ class TestSurvival:
         assert float(value) == 0.375
 
     def test_halfspace_cone_rejected(self):
-        dist = StepDistribution(2, (((1, 0), F(1, 2)), ((-1, 0), F(1, 2))))
-        cone = ConeSpec.polyhedral([[1, 0], [0, 1]])
-        model = build_model(dist, cone, (0, 0))
+        model = walk({(1, 0): F(1, 2), (-1, 0): F(1, 2)}, (0, 0), [[1, 0], [0, 1]])
         with pytest.raises(UnsupportedCone):
             survival_sequence(model, 3)
 
@@ -258,7 +246,7 @@ class TestKernel:
 
     def test_exit_mass_total_is_layer_sum(self, pos_1d, big_step_1d, octant_3d,
                                           big_step_2d, exterior_2d):
-        offset = walk({(1,): F(1, 4), (-1,): F(3, 4)}, (2,))
+        offset = replace(NEG_1D, start=(2,))
         with pytest.warns(UserWarning, match="no confined path"):
             dying = walk({(-1, 0): F(1, 2), (0, -1): F(1, 2)}, (1, 1))
         for model in (pos_1d, big_step_1d, octant_3d, big_step_2d, exterior_2d,
@@ -344,9 +332,8 @@ class TestKeepBoxes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cases += [
-                (walk({(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5),
-                       (0, 1): F(1, 5), (1, 1): F(1, 5)}, (1, 2)), (2, 1)),
-                (walk({(1,): F(3, 4), (-1,): F(1, 4)}, (2,)), (1,)),
+                (replace(FIVE_STEP, start=(1, 2)), (2, 1)),
+                (replace(POS_1D, start=(2,)), (1,)),
                 (walk({(1, 0, 0): F(3, 10), (0, 1, 0): F(3, 10), (0, 0, 1): F(3, 10),
                        (-1, -1, -1): F(1, 10)}, (0, 1, 0)), (1, 1, 1))]
         assert {model.dist.lattice_index > 1 for model, _ in cases} == {True, False}
@@ -544,8 +531,7 @@ class TestBoundaryExitG:
         assert self.g(pos_1d, (3,)) == F(1, 3) ** 4
 
     def test_needs_small_steps(self):
-        dist = StepDistribution(1, (((2,), F(3, 4)), ((-1,), F(1, 4))))
-        model = build_model(dist, ConeSpec.orthant(1), (0,))
+        model = walk({(2,): F(3, 4), (-1,): F(1, 4)}, (0,))
         with pytest.raises(NotSmallStep):
             escape_probability_bounds(model, 0)
 
@@ -597,17 +583,12 @@ class TestEscapeBounds:
         # g_0 = 2/3 and g_1 = 3/5 over classes mod 4, from (1, 1): the exits
         # read both ends of each weight vector, g_i^0 where the walk leaves
         # and g_i^(n + 2) where (1, -1) or (-1, 1) leaves from the far edge
-        skewed = walk({(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
-                       (-1, -1): F(3, 40)}, (1, 1))
-        assert exact_dp._gammas(skewed) == {0: F(2, 3), 1: F(3, 5)}
-        assert skewed.dist.lattice_index == 4
+        assert exact_dp._gammas(SKEWED) == {0: F(2, 3), 1: F(3, 5)}
+        assert SKEWED.dist.lattice_index == 4
         # E, N, U at 1/4 and W, S, D at 1/12: a tilted 3D walk with m = 2 that
         # can exit on all three axes, g_i = 1/3 on each
-        octant = walk({(1, 0, 0): F(1, 4), (0, 1, 0): F(1, 4), (0, 0, 1): F(1, 4),
-                       (-1, 0, 0): F(1, 12), (0, -1, 0): F(1, 12), (0, 0, -1): F(1, 12)},
-                      (1, 0, 2))
-        assert exact_dp._gammas(octant) == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
-        assert octant.dist.lattice_index == 2 and lattice_tilt(octant).powers != ()
+        assert exact_dp._gammas(TILTED_OCTANT) == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
+        assert TILTED_OCTANT.dist.lattice_index == 2 and lattice_tilt(TILTED_OCTANT).powers != ()
         # tilt 2^(k + x + y) and g_0 = 1/2: term 0 of g weighs axis 0 by 2 * 1/2,
         # ratio 1 after a base of the walk's tilt enters both sides of it
         ratio_1 = walk({(1, 0): F(4, 11), (-1, 1): F(2, 11), (0, -1): F(1, 11),
@@ -615,7 +596,7 @@ class TestEscapeBounds:
         assert exact_dp._gammas(ratio_1)[0] == F(1, 2)
         assert lattice_tilt(ratio_1).powers == ((2, 1, (1, 1)),)
         for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit,
-                      mod_2, mod_3, skewed, octant, ratio_1):
+                      mod_2, mod_3, SKEWED, TILTED_OCTANT, ratio_1):
             bounds = escape_probability_bounds(model, 12)
             layers = list(survival_layers(model, 12))
             gammas = exact_dp._gammas(model)
@@ -726,12 +707,8 @@ class TestMemoryBudget:
         # one; the exterior and the octant store half the box.  Two walks have
         # long negative steps: the box grows only by the largest positive
         # coordinate of a step.
-        long_back = walk({(1, 0): F(1, 3), (0, 1): F(1, 3),
-                          (-3, 0): F(1, 6), (0, -3): F(1, 6)}, (0, 0))
         diagonal_back = walk({(1, 0): F(3, 8), (0, 1): F(3, 8), (-5, -5): F(1, 4)}, (0, 0))
-        heavy_ne = walk({(1, 0): F(1, 6), (0, -1): F(1, 6), (-1, 0): F(1, 6),
-                         (0, 1): F(1, 6), (1, 1): F(1, 3)}, (0, 0))
-        assert lattice_tilt(heavy_ne).powers == ()
+        assert lattice_tilt(HEAVY_NE).powers == ()
         assert lattice_tilt(exterior_2d).powers != ()
         t_ext = analyze(exterior_2d.dist, exterior_2d.cone).t0
         t_oct = analyze(octant_3d.dist, octant_3d.cone).t0
@@ -750,10 +727,10 @@ class TestMemoryBudget:
                 (exterior_2d, 60, (survival_sequence,), band(exterior_2d), object),
                 (exterior_2d, 250, (survival_sequence,), band(exterior_2d), object),
                 (octant_3d, 40, (survival_sequence,), band(octant_3d), object),
-                (long_back, 60, (survival_sequence,), band(long_back), object),
-                (long_back, 200, (survival_sequence,), band(long_back), object),
+                (LONG_BACK, 60, (survival_sequence,), band(LONG_BACK), object),
+                (LONG_BACK, 200, (survival_sequence,), band(LONG_BACK), object),
                 (diagonal_back, 60, (survival_sequence,), band(diagonal_back), object),
-                (heavy_ne, 60, (survival_sequence,), band(heavy_ne), object),
+                (HEAVY_NE, 60, (survival_sequence,), band(HEAVY_NE), object),
                 (simple_walk_2d, 120, (lambda model, n: excursion_sequence(model, (1, 1), n),),
                  band(simple_walk_2d, (1, 1), band=False), object),
                 (exterior_2d, 60, (lambda model, n: tilted_survival_functional(model, t_ext, n),),

@@ -19,58 +19,52 @@ from conewalk import (
     minimize_over_dual,
     tilt_distribution,
 )
+from conewalk._zoo import EXTERIOR, FIVE_STEP, NEG_1D, POS_1D, SYM_1D, walk
 from conewalk.errors import NoGlobalMinimum, Unbounded
 from conewalk.laplace import ARMIJO_C, DEFAULT_TOL, MAX_ITER, _dual_generators
 
 
-def dist_1d(p, q):
-    return StepDistribution(1, (((1,), F(p)), ((-1,), F(1) - F(p))))
-
-
-def dist_from(weights):
-    return StepDistribution(len(next(iter(weights))), tuple(weights.items()))
-
-
-EXTERIOR_2D = dist_from({
-    (1, 0): F(1, 6), (0, 1): F(1, 6), (-1, 0): F(1, 3), (0, -1): F(1, 3),
-})
+EXTERIOR_2D = EXTERIOR.dist
 
 # steps +-e_i with weights 1/12 up, 1/4 down: drift -1/3 in every coordinate
-EXTERIOR_3D = dist_from({
+EXTERIOR_3D = walk({
     tuple(s if j == i else 0 for j in range(3)): F(1, 12) if s > 0 else F(1, 4)
     for i in range(3) for s in (1, -1)
-})
+}, (0, 0, 0)).dist
+
+# rank 1: L is constant along (1, 1), and no step enters the quarter plane
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    ANTIDIAGONAL = walk({(-2, 2): F(3, 11), (1, -1): F(8, 11)}, (0, 0)).dist
 
 
 class TestEval:
     def test_normalization_at_zero(self):
-        d = dist_1d(F(1, 2), F(1, 2))
+        d = SYM_1D.dist
         v, g, h = laplace_eval(d, [0.0])
         assert v == pytest.approx(1.0)
         assert g[0] == pytest.approx(0.0)
 
     def test_negative_drift_saddle(self):
-        d = dist_1d(F(1, 4), F(3, 4))
+        d = NEG_1D.dist
         v, g, _ = laplace_eval(d, [math.log(3) / 2])
         assert v == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
         assert g[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_five_step_gradient(self):
-        d = dist_from({(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5),
-                       (0, 1): F(1, 5), (1, 1): F(1, 5)})
+        d = FIVE_STEP.dist
         v, g, _ = laplace_eval(d, [0.0, 0.0])
         assert v == pytest.approx(1.0)
         assert g == pytest.approx([0.2, 0.2])
 
     def test_large_exponent_factoring(self):
-        d = dist_1d(F(1, 2), F(1, 2))
+        d = SYM_1D.dist
         v, g, h = laplace_eval(d, [600.0])
         assert math.isfinite(v) and v > 0
 
     def test_gradient_hessian_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        d = dist_from({(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5),
-                       (0, 1): F(1, 5), (1, 1): F(1, 5)})
+        d = FIVE_STEP.dist
         for _ in range(5):
             t = rng.uniform(-1, 1, size=2)
             _, g, h = laplace_eval(d, t)
@@ -88,7 +82,7 @@ class TestEval:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 1))
     def test_convexity_on_segments(self, s, t, alpha):
-        d = dist_1d(F(1, 3), F(2, 3))
+        d = walk({(1,): F(1, 3), (-1,): F(2, 3)}, (0,)).dist
         vs, _, _ = laplace_eval(d, [s])
         vt, _, _ = laplace_eval(d, [t])
         vm, _, _ = laplace_eval(d, [alpha * s + (1 - alpha) * t])
@@ -97,17 +91,16 @@ class TestEval:
 
 class TestClassifyDrift:
     def test_interior(self):
-        d = dist_from({(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5),
-                       (0, 1): F(1, 5), (1, 1): F(1, 5)})
+        d = FIVE_STEP.dist
         assert d.drift == (F(1, 5), F(1, 5))
         assert classify_drift(d.drift, ConeSpec.orthant(2)) is DriftClass.INTERIOR
 
     def test_boundary(self):
-        d = dist_1d(F(1, 2), F(1, 2))
+        d = SYM_1D.dist
         assert classify_drift(d.drift, ConeSpec.orthant(1)) is DriftClass.BOUNDARY
 
     def test_exterior(self):
-        d = dist_1d(F(1, 4), F(3, 4))
+        d = NEG_1D.dist
         assert d.drift == (F(-1, 2),)
         assert classify_drift(d.drift, ConeSpec.orthant(1)) is DriftClass.EXTERIOR
 
@@ -116,10 +109,10 @@ class TestClassifyDrift:
         # drift exactly 1e-13 in every coordinate: below the float tolerance,
         # but the integer normals are tested exactly
         eps = F(1, 2 * 10 ** 13)
-        dist = dist_from({
+        dist = walk({
             tuple(s if j == i else 0 for j in range(d)): F(1, 2 * d) + s * eps
             for i in range(d) for s in (1, -1)
-        })
+        }, (0,) * d).dist
         assert dist.drift == (F(1, 10 ** 13),) * d
         identity = ConeSpec.polyhedral(np.eye(d).tolist())
         for cone in (ConeSpec.orthant(d), identity):
@@ -128,15 +121,13 @@ class TestClassifyDrift:
 
 class TestMinimizeOverDual:
     def test_negative_drift_1d(self):
-        t0, rho, resid = minimize_over_dual(dist_1d(F(1, 4), F(3, 4)),
-                                            ConeSpec.orthant(1))
+        t0, rho, resid = minimize_over_dual(NEG_1D.dist, ConeSpec.orthant(1))
         assert t0[0] == pytest.approx(math.log(3) / 2, abs=1e-10)
         assert rho == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
         assert resid <= 1e-12
 
     def test_positive_drift_sticks_to_zero(self):
-        t0, rho, _ = minimize_over_dual(dist_1d(F(3, 4), F(1, 4)),
-                                        ConeSpec.orthant(1))
+        t0, rho, _ = minimize_over_dual(POS_1D.dist, ConeSpec.orthant(1))
         assert t0[0] == pytest.approx(0.0, abs=1e-12)
         assert rho == pytest.approx(1.0, abs=1e-12)
 
@@ -185,7 +176,7 @@ class TestMinimizeOverDual:
         # cone it stalls the projected Newton on these collinear steps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            dist = dist_from(steps)
+            dist = walk(steps, (0, 0)).dist
         got = minimize_over_dual(dist, ConeSpec.polyhedral([[1, 0], [1, 1], [0, 1]]))
         want = minimize_over_dual(dist, ConeSpec.orthant(2))
         for a, b in zip(got, want):
@@ -207,12 +198,12 @@ def test_dual_generators(normals, kept):
 
 class TestMinimizeGlobal:
     def test_symmetric_minimum_at_origin(self):
-        t, rho = minimize_global(dist_1d(F(1, 2), F(1, 2)))
+        t, rho = minimize_global(SYM_1D.dist)
         assert t[0] == pytest.approx(0.0, abs=1e-12)
         assert rho == pytest.approx(1.0)
 
     def test_interior_minimum(self):
-        t, rho = minimize_global(dist_1d(F(1, 4), F(3, 4)))
+        t, rho = minimize_global(NEG_1D.dist)
         assert t[0] == pytest.approx(math.log(3) / 2, abs=1e-10)
         assert rho == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
@@ -226,7 +217,7 @@ class TestMinimizeGlobal:
     def test_collinear_support_has_a_minimizer(self):
         # 0 is in the relative interior of the step hull, not its interior:
         # L is constant along (1, 1) and minimal on a whole line
-        d = dist_from({(-2, 2): F(3, 11), (1, -1): F(8, 11)})
+        d = ANTIDIAGONAL
         t, rho = minimize_global(d)
         # L = 3/11 e^{2s} + 8/11 e^{-s} in s = t_2 - t_1, minimal at e^{3s} = 4/3
         assert t[1] - t[0] == pytest.approx(math.log(4 / 3) / 3, abs=1e-10)
@@ -235,7 +226,7 @@ class TestMinimizeGlobal:
 
     def test_matches_plain_newton_bit_for_bit(self):
         rng = np.random.default_rng(909)
-        dists = [dist_from({(-2, 2): F(3, 11), (1, -1): F(8, 11)})]
+        dists = [ANTIDIAGONAL]
         dists += [random_orthant_dist(rng, 1 + i % 3) for i in range(150)]
         compared = 0
         for dist in dists:
@@ -257,7 +248,7 @@ def test_far_minimum_matches_closed_form(e):
     # steps +1 at eps and -1 at 1 - eps: t0 = ln((1 - eps)/eps)/2 and
     # rho = 2 sqrt(eps (1 - eps)), with L(t0) far below the stopping tolerance
     eps = F(1, 10 ** e)
-    dist = dist_1d(eps, 1 - eps)
+    dist = walk({(1,): eps, (-1,): 1 - eps}, (0,)).dist
     t_want = math.log(10 ** e - 1) / 2
     rho_want = 2 * math.sqrt(float(eps * (1 - eps)))
     t0, rho, _ = minimize_over_dual(dist, ConeSpec.orthant(1))
@@ -307,14 +298,14 @@ def _zero_in_relative_interior(vecs):
 
 class TestTilt:
     def test_zero_tilt_is_identity(self):
-        d = dist_1d(F(1, 4), F(3, 4))
+        d = NEG_1D.dist
         tilted, drift = tilt_distribution(d, [0.0])
         for (v, w), (_, orig) in zip(tilted, d.steps):
             assert w == pytest.approx(float(orig))
         assert drift[0] == pytest.approx(-0.5)
 
     def test_tilt_centers_negative_drift(self):
-        d = dist_1d(F(1, 4), F(3, 4))
+        d = NEG_1D.dist
         tilted, drift = tilt_distribution(d, [math.log(3) / 2])
         weights = dict((v, w) for v, w in tilted)
         assert weights[(1,)] == pytest.approx(0.5, abs=1e-12)

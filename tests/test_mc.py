@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from conewalk import (
-    ConeSpec,
-    StepDistribution,
     analyze,
-    build_model,
     escape_probability_bounds,
     laplace_eval,
     simulate_survival,
@@ -19,7 +16,7 @@ from conewalk import (
     survival_sequence,
     tilt_distribution,
 )
-from conewalk import mc
+from conewalk import _zoo, mc
 from conewalk.errors import ConewalkError
 from conewalk.mc import N_STREAMS, _stream_counts, _stream_rng
 
@@ -137,6 +134,32 @@ class TestSimulateSurvival:
             simulate_survival(five_step_model, n, samples, seed=0, workers=workers)
         with pytest.raises(ConewalkError, match=message):
             simulate_tilted(five_step_model, an, n, samples, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, r"the seed must be integers, got \[2.5\]"),
+        ("3", r"the seed must be integers, got \['3'\]"),
+        (True, r"the seed must be integers, got \[True\]"),
+        (-1, r"the seed must be in \[0, 2\^64\), got -1$"),
+        (2 ** 64, r"the seed must be in \[0, 2\^64\), got 18446744073709551616$"),
+    ], ids=["float", "str", "bool", "negative", "2^64"])
+    def test_rejects_bad_seeds(self, five_step_model, seed, message):
+        # masked into a uint64 key, -1, 2^64 and True would run the streams of
+        # 2^64 - 1, 0 and 1
+        an = analyze(five_step_model.dist, five_step_model.cone)
+        with pytest.raises(ConewalkError, match=message):
+            simulate_survival(five_step_model, 5, 10, seed=seed)
+        with pytest.raises(ConewalkError, match=message):
+            simulate_tilted(five_step_model, an, 5, 10, seed=seed)
+
+    def test_seed_range_ends(self, exterior_2d):
+        top = simulate_survival(exterior_2d, 12, 3000, seed=2 ** 64 - 1)
+        assert top.seed == 2 ** 64 - 1 and top.mean.hex() == "0x1.eb851eb851eb8p-7"
+        assert simulate_survival(exterior_2d, 12, 3000, seed=0).mean.hex() == \
+            "0x1.9f0fb38a94d24p-7"
+        # a numpy integer runs the streams of its value and is reported as an int
+        seven = simulate_survival(exterior_2d, 12, 3000, seed=np.uint64(7))
+        assert type(seven.seed) is int
+        assert seven == simulate_survival(exterior_2d, 12, 3000, seed=7)
 
     def test_rejects_negative_horizon(self, exterior_2d):
         # the exterior's walkers die, so a missing check fails rather than hangs
@@ -305,18 +328,9 @@ def _jobs(samples):
     return [(s, c) for s, c in enumerate(_stream_counts(samples)) if c > 0]
 
 
-_EXTERIOR_STEPS = {(1, 0): F(1, 6), (0, 1): F(1, 6), (-1, 0): F(1, 3), (0, -1): F(1, 3)}
-
-
-def _exterior_in(normals, start):
-    dist = StepDistribution(2, tuple(_EXTERIOR_STEPS.items()))
-    return build_model(dist, ConeSpec.polyhedral(normals), start)
-
-
 @pytest.fixture(scope="module")
 def wedge_2d():
-    """Exterior steps in the integer-normal wedge {x >= 0, x - y >= 0}."""
-    return _exterior_in([[1, 0], [1, -1]], (0, 0))
+    return _zoo.EXTERIOR_WEDGE
 
 
 @pytest.fixture(scope="module")
@@ -324,18 +338,16 @@ def float_halfspace_2d():
     """Exterior steps in {0.3x + 0.1y >= 0, x >= 0}: on the boundary points
     (k, -3k) the float product is about -5e-17, so only the tolerance keeps
     them in the cone."""
-    return _exterior_in([[0.3, 0.1], [1.0, 0.0]], (1, 0))
+    return _zoo.walk(dict(_zoo.EXTERIOR.dist.steps), (1, 0), [[0.3, 0.1], [1.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
 def wedge_3d():
     """Unit steps with drift (-1/9, -1/9, -1/9) in the integer-normal cone
     {x >= 0, y >= 0, x + y - z >= 0}, started inside at (1, 1, 0)."""
-    steps = [(tuple(s if j == i else 0 for j in range(3)), w)
-             for i in range(3) for s, w in ((1, F(1, 9)), (-1, F(2, 9)))]
-    dist = StepDistribution(3, tuple(steps))
-    return build_model(dist, ConeSpec.polyhedral([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
-                       (1, 1, 0))
+    return _zoo.walk({tuple(s if j == i else 0 for j in range(3)): w
+                      for i in range(3) for s, w in ((1, F(1, 9)), (-1, F(2, 9)))},
+                     (1, 1, 0), [[1, 0, 0], [0, 1, 0], [1, 1, -1]])
 
 
 class TestCompactedWalker:

@@ -5,6 +5,7 @@ walk has the identity tilt w_k = 1 and is read by the same readouts."""
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,8 +19,9 @@ from conewalk import (
     survival_sequence,
 )
 from conewalk import exact_dp
+from conewalk._zoo import DIAGONAL, FIVE_STEP, HEAVY_NE, PRODUCT_DIAGONAL, SKEWED, walk
 from conewalk.lattice_tilt import _coprime_base, _multiplicity, lattice_tilt
-from test_exact_dp import DIAGONAL, _minors_lattice_index, _reference_layers, _scatter, walk
+from test_exact_dp import _minors_lattice_index, _reference_layers, _scatter
 
 
 def _exponential_walk(rng, d: int, count: int, steps=None):
@@ -55,18 +57,16 @@ def _exponential_walks():
 
 EXPONENTIAL = _exponential_walks()
 
-# walks with no exponential family on their step lattice: the identity tilt
+# walks with no exponential family on their step lattice: the identity tilt,
+# from the origin
+LAZY_1D = {(1,): F(1, 4), (0,): F(1, 4), (-1,): F(1, 2)}  # 1 * 2 is not 1^2
 NO_TILT = {
-    "five-step-1-1-1-1-2": {(1, 0): F(1, 6), (0, -1): F(1, 6), (-1, 0): F(1, 6),
-                            (0, 1): F(1, 6), (1, 1): F(1, 3)},
-    "skewed": {(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
-               (-1, -1): F(3, 40)},
-    "lazy-1d": {(1,): F(1, 4), (0,): F(1, 4), (-1,): F(1, 2)},  # 1 * 2 is not 1^2
-    "uniform": {(1, 0): F(1, 5), (0, -1): F(1, 5), (-1, 0): F(1, 5), (0, 1): F(1, 5),
-                (1, 1): F(1, 5)},  # the tilt of uniform weights is 1
+    "five-step-1-1-1-1-2": HEAVY_NE,
+    "skewed": replace(SKEWED, start=(0, 0)),
+    "lazy-1d": walk(LAZY_1D, (0,)),
+    "uniform": FIVE_STEP,  # the tilt of uniform weights is 1
 }
-IDENTITY = [walk(NO_TILT["five-step-1-1-1-1-2"], (0, 0)), walk(NO_TILT["skewed"], (1, 1)),
-            walk(NO_TILT["lazy-1d"], (1,))]
+IDENTITY = [HEAVY_NE, SKEWED, walk(LAZY_1D, (1,))]
 
 
 def _assert_identity(model):
@@ -130,16 +130,15 @@ class TestLatticeTilt:
                     for k, a in enumerate(ref)]
         assert with_bounds == 4
 
-    @pytest.mark.parametrize("weights", NO_TILT.values(), ids=NO_TILT.keys())
-    def test_no_tilt(self, weights):
-        model = walk(weights, (0,) * len(next(iter(weights))))
+    @pytest.mark.parametrize("model", NO_TILT.values(), ids=NO_TILT.keys())
+    def test_no_tilt(self, model):
         _assert_identity(model)
         steps, _den = model.dist.integer_weights()
         assert sorted(exact_dp._kernel_steps(model, lattice_tilt(model))) == sorted(steps)
 
     def test_tilt_carries_the_lattice_index(self):
         # the identity tilt too: m is the modulus of the layers on every walk
-        no_tilt = [walk(weights, (0,) * len(next(iter(weights)))) for weights in NO_TILT.values()]
+        no_tilt = list(NO_TILT.values())
         models = EXPONENTIAL + IDENTITY + no_tilt
         assert all(lattice_tilt(model).m == model.dist.lattice_index
                    == _minors_lattice_index([v for v, _ in model.dist.steps]) for model in models)
@@ -193,9 +192,7 @@ class TestLatticeTilt:
         excursion_sequence(exterior_2d, (0, 0), 10)
         assert len(seen) == 20 and all(weights == [1, 1, 1, 1] for weights in seen)
         seen.clear()
-        skewed = walk({(1, 1): F(12, 40), (1, -1): F(12, 40), (-1, 1): F(13, 40),
-                       (-1, -1): F(3, 40)}, (1, 1))
-        survival_sequence(skewed, 3)
+        survival_sequence(SKEWED, 3)
         assert seen == [[12, 12, 13, 3]] * 3
 
 
@@ -206,8 +203,10 @@ class TestLongHorizonOracle:
         # the coordinates of a walk on (+-1, +-1) with per-axis weights are
         # independent 1D walks, and it survives iff both do
         (p0, q0), (p1, q1) = (F(2, 3), F(1, 3)), (F(1, 4), F(3, 4))
-        diagonal = walk({(a, b): (p0 if a > 0 else q0) * (p1 if b > 0 else q1)
-                         for a in (1, -1) for b in (1, -1)}, (1, 2))
+        diagonal = PRODUCT_DIAGONAL
+        assert diagonal.start == (1, 2) and diagonal.dist.steps == tuple(
+            ((a, b), (p0 if a > 0 else q0) * (p1 if b > 0 else q1))
+            for a in (1, -1) for b in (1, -1))
         assert diagonal.dist.lattice_index == 4
         assert lattice_tilt(diagonal).powers != ()
         x_axis = closed_form_coefficients(OneDimModel(p=p0, q=q0, x=1), 300)
