@@ -340,13 +340,13 @@ class WalkModel:
 
     @cached_property
     def interior_witness(self) -> ReachabilityWitness | None:
-        """BFS over confined states from 0, looking for an interior point.
+        """BFS over confined states from the start, looking for an interior point.
 
         Depth is capped at 2d + 2; absence of a witness is generically a sign
         of a degenerate model, so ``build_model`` warns of it.
         """
         # dicts as ordered sets: the visit order fixes which witness is found
-        frontier = {(0,) * self.dimension: None}
+        frontier = {self.start: None}
         for depth in range(1, 2 * self.dimension + 3):
             nxt = {}
             for pos in frontier:

@@ -7,7 +7,6 @@ import warnings
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from conewalk import (
     ConeSpec,

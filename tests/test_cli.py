@@ -49,6 +49,11 @@ def pos_1d_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def heavy_ne_path(tmp_path_factory):
+    return _model_file(tmp_path_factory, "heavy_ne", _zoo.HEAVY_NE)
+
+
+@pytest.fixture(scope="module")
 def two_pass_verdict(five_step_path):
     """The survival verdict block of five-step at horizon 150, built from the
     two passes the CLI once made for it: survival to 150, and escape bounds to
@@ -236,12 +241,14 @@ class TestDpPasses:
         assert code == 0
         assert dp_passes == [60]
 
-    def test_enumerate_past_a_inf_horizon(self, pos_1d_path, dp_passes):
-        # a_inf reads the intervals up to A_INF_HORIZON off the survival pass
-        _, code = run_report(["enumerate", "--model", pos_1d_path,
-                              "--horizon", "150"])
-        assert code == 0
-        assert dp_passes == [150]
+    def test_enumerate_past_a_inf_horizon(self, pos_1d_path, heavy_ne_path, dp_passes):
+        # a_inf reads the intervals up to A_INF_HORIZON off the survival pass;
+        # five-step at 1, 1, 1, 1, 2 runs the identity tilt
+        for command, path in (("enumerate", pos_1d_path), ("bounds", heavy_ne_path)):
+            dp_passes.clear()
+            _, code = run_report([command, "--model", path, "--horizon", "150"])
+            assert code == 0
+            assert dp_passes == [150]
 
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "guess", "bounds"])
     def test_one_pass_on_a_bounds_model(self, five_step_path, two_pass_verdict,

@@ -19,8 +19,8 @@ from conewalk import (
     tilted_survival_functional,
 )
 from conewalk import exact_dp
-from conewalk._zoo import (DIAGONAL, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D, POS_1D, SKEWED,
-                           TILTED_OCTANT, walk)
+from conewalk._zoo import (DIAGONAL, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D, POS_1D,
+                           PRODUCT_DIAGONAL, SKEWED, TILTED_OCTANT, walk)
 from conewalk.exact_dp import _dp_bytes
 from conewalk.lattice_tilt import lattice_tilt
 from conewalk.errors import (
@@ -36,6 +36,8 @@ from conewalk.laplace import tilt_distribution
 from conewalk.model import _echelon_pivots, _lattice_index
 
 KREWERAS = walk({(-1, 0): F(1, 3), (0, -1): F(1, 3), (1, 1): F(1, 3)}, (0, 0))
+# never decreases: its target passes have no band and keep only what can reach y
+UPWARD = walk({(1,): F(1, 2), (2,): F(1, 2)}, (0,))
 
 
 def _det(rows) -> int:
@@ -132,7 +134,7 @@ class TestSurvival:
     def test_matches_brute_force(self, five_step_model, exterior_2d, neg_1d,
                                  octant_3d, big_step_2d, big_step_1d):
         for model, n in ((five_step_model, 8), (exterior_2d, 8), (neg_1d, 8),
-                         (octant_3d, 7), (big_step_2d, 8), (big_step_1d, 8)):
+                         (octant_3d, 7), (big_step_2d, 8), (big_step_1d, 8), (HEAVY_NE, 10)):
             seq = survival_sequence(model, n)
             assert list(seq.terms) == brute_force_survival(model, n)
 
@@ -387,16 +389,18 @@ class TestExcursion:
 
     def test_matches_brute_force(self, five_step_model, simple_walk_2d,
                                  big_step_2d, octant_3d, big_step_1d):
-        cases = [(model, target)
+        cases = [(model, target, 7)
                  for model in (five_step_model, simple_walk_2d, big_step_2d)
                  for target in ((0, 0), (1, 1), (2, 0), (9, 9))]
-        cases += [(octant_3d, (0, 0, 0)), (octant_3d, (1, 0, 1)),
-                  (big_step_1d, (0,)), (big_step_1d, (3,))]
-        for model, target in cases:
-            seq = excursion_sequence(model, target, 7)
-            assert list(seq.terms) == brute_force_excursion(model, target, 7)
+        cases += [(octant_3d, (0, 0, 0), 7), (octant_3d, (1, 0, 1), 7),
+                  (big_step_1d, (0,), 7), (big_step_1d, (3,), 7), (HEAVY_NE, (1, 1), 10),
+                  (PRODUCT_DIAGONAL, (1, 2), 10), (UPWARD, (1,), 10)]
+        for model, target, n in cases:
+            seq = excursion_sequence(model, target, n)
+            assert list(seq.terms) == brute_force_excursion(model, target, n)
             if target == (9, 9):  # not reachable in 7 steps from any start here
                 assert not any(seq.terms)
+        assert excursion_sequence(UPWARD, (1,), 2).terms == (0, F(1, 2), 0)
 
     def test_pruning_preserves_target_mass(self, exterior_2d):
         # the pruned DP must agree with the unpruned full layers
@@ -447,18 +451,19 @@ class TestExcursion:
                                           big_step_2d, octant_3d, five_step_model):
         # the unpruned pass reads y off class y mod m, and reads 0 while that
         # class is not stored
-        cases = [(model, y) for model in (exterior_2d, simple_walk_2d)
+        cases = [(model, y, 15) for model in (exterior_2d, simple_walk_2d)
                  for y in ((0, 0), (1, 0), (3, 2))]
-        cases += [(KREWERAS, (0, 0)), (KREWERAS, (2, 0)), (big_step_2d, (2, 1)),
-                  (octant_3d, (1, 0, 1)), (DIAGONAL, (1, 2)), (DIAGONAL, (0, 3)),
-                  (five_step_model, (1, 2))]
-        for model, y in cases:
-            survival, excursion, bounds = exact_dp.survival_pass(model, 15, y)
-            assert survival == survival_sequence(model, 15)
-            assert excursion == excursion_sequence(model, y, 15)
+        cases += [(KREWERAS, (0, 0), 15), (KREWERAS, (2, 0), 15), (big_step_2d, (2, 1), 15),
+                  (octant_3d, (1, 0, 1), 15), (DIAGONAL, (1, 2), 15), (DIAGONAL, (0, 3), 15),
+                  (five_step_model, (1, 2), 15), (HEAVY_NE, (1, 1), 15),
+                  (PRODUCT_DIAGONAL, (1, 2), 150), (UPWARD, (1,), 60)]
+        for model, y, n in cases:
+            survival, excursion, bounds = exact_dp.survival_pass(model, n, y)
+            assert survival == survival_sequence(model, n)
+            assert excursion == excursion_sequence(model, y, n)
             assert (bounds is None) == (exact_dp.bounds_error(model) is not None)
             if bounds is not None:
-                assert bounds == escape_probability_bounds(model, 15, y)
+                assert bounds == escape_probability_bounds(model, n, y)
                 assert (bounds.survival, bounds.excursion) == (survival, excursion)
 
     def test_periodicity_of_simple_walk(self, simple_walk_2d):
@@ -480,14 +485,16 @@ class TestExcursion:
 
 class TestTiltedFunctional:
     def test_reconstructs_survival(self, exterior_2d, octant_3d):
-        for model, n in ((exterior_2d, 40), (octant_3d, 20)):
+        for model, n, rel in ((exterior_2d, 40, 1e-11), (octant_3d, 20, 1e-11),
+                              (exterior_2d, 400, 1e-12)):
             an = analyze(model.dist, model.cone)
             func = tilted_survival_functional(model, an.t0, n)
             exact = survival_sequence(model, n).floats()
             pref = math.exp(sum(t * x for t, x in zip(an.t0, model.start)))
+            assert len(func) == n + 1
             for k in range(n + 1):
                 recon = an.rho ** k * pref * func[k]
-                assert recon == pytest.approx(exact[k], rel=1e-11)
+                assert recon == pytest.approx(exact[k], rel=rel, abs=0)
 
     def test_matches_the_box_readout(self, exterior_2d, octant_3d):
         # fsum of the whole reference box times a fresh weight box: the
@@ -595,12 +602,15 @@ class TestEscapeBounds:
                         (0, 1): F(4, 11)}, (0, 0))
         assert exact_dp._gammas(ratio_1)[0] == F(1, 2)
         assert lattice_tilt(ratio_1).powers == ((2, 1, (1, 1)),)
-        for model in (five_step_model, five_step_off, flat_3d, pos_1d, corner_exit,
-                      mod_2, mod_3, SKEWED, TILTED_OCTANT, ratio_1):
-            bounds = escape_probability_bounds(model, 12)
-            layers = list(survival_layers(model, 12))
+        for model, n in ((five_step_model, 12), (five_step_off, 12), (flat_3d, 12),
+                         (pos_1d, 12), (corner_exit, 12), (mod_2, 12), (mod_3, 12),
+                         (SKEWED, 12), (TILTED_OCTANT, 12), (TILTED_OCTANT, 30),
+                         (ratio_1, 12)):
+            bounds = escape_probability_bounds(model, n)
+            layers = list(survival_layers(model, n))
             gammas = exact_dp._gammas(model)
-            for k, g_k in enumerate(bounds.g_sequence.terms):
+            assert len(bounds.intervals) == len(layers) == n + 1
+            for k, (g_k, interval) in enumerate(zip(bounds.g_sequence.terms, bounds.intervals)):
                 direct = sum(
                     (mass * g ** (pos[i] + 1)
                      for pos, mass in layers[k].masses.items()
@@ -608,6 +618,8 @@ class TestEscapeBounds:
                     F(0),
                 )
                 assert g_k == direct
+                a_k = layers[k].total
+                assert interval == (a_k - direct, a_k - direct / model.dimension)
 
     def test_survival_minus_g_is_lower_bound(self, five_step_model):
         bounds = escape_probability_bounds(five_step_model, 25)

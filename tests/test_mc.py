@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import tracemalloc
 from fractions import Fraction as F
 

@@ -102,6 +102,17 @@ class TestParsing:
             model = parse_model(json.dumps(doc))
         assert not model.dist.truly_d_dimensional
 
+    def test_interior_witness_searches_from_the_start(self):
+        # (2, 0) -> (0, 2) -> (1, 1); from 0 no step stays in the quadrant
+        doc = {"dimension": 2,
+               "steps": [{"v": [-2, 2], "w": "3/11"}, {"v": [1, -1], "w": "8/11"}],
+               "cone": {"type": "orthant"}, "start": [2, 0]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = parse_model(json.dumps(doc))
+        assert not [w for w in caught if "no confined path" in str(w.message)]
+        assert (model.interior_witness.length, model.interior_witness.target) == (2, (1, 1))
+
     def test_halfspace_cone(self):
         doc = dict(FIVE_STEP_DOC,
                    cone={"type": "halfspaces", "normals": [[1, 0], [0, 1]]})

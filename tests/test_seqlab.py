@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from conewalk import (
     NoRecurrenceUpTo,
-    OneDimModel,
     RecurrenceModel,
-    closed_form_coefficients,
     estimate_rho,
     excursion_exponent_fit,
     excursion_sequence,
