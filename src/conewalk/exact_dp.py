@@ -12,7 +12,10 @@ contiguous slice; m = 1 is the same code with a single class.  Exact streams
 use ``object`` dtype with integer numerators over ``D^k`` (D = common weight
 denominator), which keeps the arithmetic exact while avoiding per-operation
 gcd reduction, and group their steps by weight so each weight scales the
-stored classes once; the tilted functional uses ``float64``.
+stored classes once; the tilted functional uses ``float64``.  A pass plans
+once: the box growth, the weight runs and a lazy ``_Moves`` table of each
+class's moves, which the kernel and ``_read``'s exit sweep share and
+``_dp_bytes`` charges.
 
 Every walk has a lattice tilt w_k(x), the weight of each path from the start
 to x in k steps (``lattice_tilt``: the exact lattice form of the Laplace
@@ -59,7 +62,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Literal
 
 import numpy as np
@@ -175,7 +177,9 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
     With no int rounding to cover them, a float step charges 64 KiB for the
     interpreter's own objects instead: index tuples, slices and the free
     lists that keep them.  The peak is the largest step, the last one when
-    the whole box is kept; horizon 0 holds layer 0 and its terms.
+    the whole box is kept; horizon 0 holds layer 0 and its terms.  On top,
+    ``_Moves``: 152 + 16 d bytes per step and class of layers 0..n-1, on
+    min(n, m) cosets of m^(d-1) classes.
     """
     m, d, start = model.dist.lattice_index, model.dimension, model.start
     classes = m ** (d - 1)
@@ -189,7 +193,7 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
         """The stored and the live entries of layer k, none before layer 0."""
         if k < 1:
             return (1, 1) if k == 0 else (0, 0)
-        boxes = _boxes(model, n, k, keep)
+        boxes = _boxes(_box(model, k), n, k, keep)
         hull = [max((box[i][1] for box in boxes), default=0) for i in range(d)]
         stored = classes * math.prod(-(-s // m) for s in hull)
         below = sum(_below_hyperplane([hi - lo for lo, hi in box],
@@ -206,7 +210,7 @@ def _dp_bytes(model: WalkModel, n: int, steps, keep=None, dtype=object) -> float
             (held * live_before + live + terms) * (40 + k * bits / 7.5)
             if dtype is object else 2 ** 16)
         peak, before = max(peak, step), (stored, live)
-    return peak
+    return peak + min(n, m) * classes * len(steps) * (152 + 16 * d)
 
 
 def _budget_states(model: WalkModel, n: int, steps, keep=None, dtype=object) -> None:
@@ -308,10 +312,9 @@ def _box(model: WalkModel, k: int) -> list[int]:
     return [x + k * g + 1 for x, g in zip(model.start, grow)]
 
 
-def _boxes(model: WalkModel, n: int, k: int, keep) -> list:
+def _boxes(box, n: int, k: int, keep) -> list:
     """The keep boxes of layer k of a pass to horizon n clipped to the layer's
     box, the empty ones dropped; None keeps the box."""
-    box = _box(model, k)
     boxes = [[(0, None)] * len(box)] if keep is None else keep(n, k)
     clipped = [[(lo, s if hi is None else min(hi, s)) for (lo, hi), s in zip(b, box)]
                for b in boxes]
@@ -327,10 +330,33 @@ def _moves(r, v, m: int):
     """The class r' = (r + v) mod m that step v moves class r to, and the
     shift s = (r + v - r') // m: entry j of class r lands at entry j + s."""
     to = tuple((c + a) % m for c, a in zip(r, v))
-    return to, [(c + a - t) // m for c, a, t in zip(r, v, to)]
+    return to, tuple((c + a - t) // m for c, a, t in zip(r, v, to))
 
 
-def _advance(classes: dict, steps, boxes, m: int) -> dict:
+class _Moves(dict):
+    """Class r -> ``_moves(r, v, m)`` for each step v in order, made when a
+    pass first asks."""
+
+    __slots__ = ("steps", "m")
+
+    def __init__(self, steps, m):
+        self.steps, self.m = steps, m
+
+    def __missing__(self, r):
+        self[r] = row = tuple(_moves(r, v, self.m) for v, _ in self.steps)
+        return row
+
+
+class _Layer(dict):
+    """Class r -> its masses at r + m*j, and the pass's ``_Moves``."""
+
+    __slots__ = ("moves",)
+
+    def __init__(self, moves):
+        self.moves = moves
+
+
+def _advance(classes: dict, steps, boxes, moves) -> dict:
     """One DP transition: each step v adds c_v * layer[x] at x + v, for every
     x with x + v in the orthant and in one of the disjoint keep boxes.
 
@@ -340,23 +366,26 @@ def _advance(classes: dict, steps, boxes, m: int) -> dict:
     assigns its slice into the zeros, and later steps add into it.  Each run
     of adjacent steps with equal weight scales the stored classes once.
     """
-    new, parts, written = {}, {}, set()
-    for c, group in itertools.groupby(steps, key=itemgetter(1)):
-        scaled = classes if c == 1 else {r: c * a for r, a in classes.items()}
-        for v, _ in group:
-            for r, a in scaled.items():
-                to, shift = _moves(r, v, m)
-                if to not in parts:
-                    parts[to] = [[(-((t - lo) // m), -((t - hi) // m))
-                                  for t, (lo, hi) in zip(to, box)] for box in boxes]
-                for part, ranges in enumerate(parts[to]):
-                    src, dst = [], []
-                    for s, size, (lo, hi) in zip(shift, a.shape, ranges):
-                        lo, hi = max(lo, s), min(hi, size + s)
-                        src.append(slice(lo - s, hi - s))
-                        dst.append(slice(lo, hi))
-                    if any(x.start >= x.stop for x in dst):
-                        continue  # no entry lands in the orthant and this box
+    m, new, parts, written, weight = moves.m, _Layer(moves), {}, set(), None
+    for i, (v, c) in enumerate(steps):
+        if c != weight:
+            # free the last product before this one forms
+            scaled = a = None
+            scaled, weight = classes if c == 1 else {r: c * a for r, a in classes.items()}, c
+        for r, a in scaled.items():
+            to, shift = moves[r][i]
+            if to not in parts:
+                parts[to] = [[(-((t - lo) // m), -((t - hi) // m))
+                              for t, (lo, hi) in zip(to, box)] for box in boxes]
+            for part, ranges in enumerate(parts[to]):
+                src, dst = [], []
+                for s, size, (lo, hi) in zip(shift, a.shape, ranges):
+                    lo, hi = s if s > lo else lo, size + s if size + s < hi else hi
+                    if lo >= hi:
+                        break  # no entry lands in the orthant and this box
+                    src.append(slice(lo - s, hi - s))
+                    dst.append(slice(lo, hi))
+                else:
                     if (to, part) in written:
                         new[to][tuple(dst)] += a[tuple(src)]
                         continue
@@ -365,8 +394,6 @@ def _advance(classes: dict, steps, boxes, m: int) -> dict:
                         new[to] = np.zeros(shape, dtype=a.dtype)
                     new[to][tuple(dst)] = a[tuple(src)]
                     written.add((to, part))
-        # free this product, its last class too, before the next weight forms its own
-        scaled = a = None
     return new
 
 
@@ -387,13 +414,15 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     if not model.cone.is_orthant:
         raise UnsupportedCone("exact DP supports orthant cones only")
     _budget_states(model, n, steps, keep, dtype)
-    m = model.dist.lattice_index
-    r = tuple(x % m for x in model.start)
-    first = np.zeros(_class_shape([x + 1 for x in model.start], r, m), dtype=dtype)
-    first[tuple(x // m for x in model.start)] = 1
-    return itertools.accumulate(
-        range(1, n + 1), lambda layer, k: _advance(layer, steps, _boxes(model, n, k, keep), m),
-        initial={r: first})
+    m, start = model.dist.lattice_index, model.start
+    grow, moves = _grow(model.dist.steps, model.dimension), _Moves(steps, m)
+    r = tuple(x % m for x in start)
+    first = _Layer(moves)
+    first[r] = np.zeros(_class_shape([x + 1 for x in start], r, m), dtype=dtype)
+    first[r][tuple(x // m for x in start)] = 1
+    return itertools.accumulate(range(1, n + 1), lambda layer, k: _advance(
+        layer, steps, _boxes([x + k * g + 1 for x, g in zip(start, grow)], n, k, keep), moves),
+        initial=first)
 
 
 def _integer_layers(model: WalkModel, n: int, tilt: LatticeTilt, keep=None) -> Iterator[dict]:
@@ -430,13 +459,15 @@ def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
         yield StateLayer(index=k, masses=dict(sorted(masses.items())))
 
 
-def _exit_slabs(layer: dict, v, m: int):
+def _exit_slabs(layer: _Layer, step: int):
     """Yield, per stored class, the disjoint slabs j_i < -s_i with j_l >= -s_l
-    on the earlier axes l (s the class's shift under v), which together hold
-    the entries x with x + v outside the orthant; each with ``corner``, the
-    point x + v at its first entry.  Entries of a slab lie m apart."""
+    on the earlier axes l (s the class's shift under v, the pass's step
+    ``step``), which together hold the entries x with x + v outside the
+    orthant; each with ``corner``, the point x + v at its first entry.
+    Entries of a slab lie m apart."""
+    moves, m = layer.moves, layer.moves.m
     for r, a in layer.items():
-        to, shift = _moves(r, v, m)
+        to, shift = moves[r][step]
         for i, s in enumerate(shift):
             if s < 0:
                 lo = [max(-b, 0) for b in shift[:i]] + [0] * (len(shift) - i)
@@ -472,7 +503,7 @@ def _read(model: WalkModel, n: int, target=None, gammas=None, survival: bool = T
     """
     den = model.dist.common_denominator
     tilt = lattice_tilt(model)
-    m, steps = tilt.m, _kernel_steps(model, tilt)
+    m = tilt.m
     if target is not None:
         target = excursion_target(model, target)
         cls, entry = tuple(c % m for c in target), tuple(c // m for c in target)
@@ -500,8 +531,8 @@ def _read(model: WalkModel, n: int, target=None, gammas=None, survival: bool = T
         if k == n or not carried:
             continue
         exits = [0] * len(carried)
-        for v, c in steps:
-            for slab, corner in _exit_slabs(layer, v, m):
+        for step, (_, c) in enumerate(layer.moves.steps):
+            for slab, corner in _exit_slabs(layer, step):
                 for j, (t, b, axes, unit) in enumerate(carried):
                     num, div = t.weight(k + 1, corner)
                     exits[j] += c * b * num * _contract(slab, axes) // (div * unit)

@@ -142,17 +142,19 @@ def _walker(model: WalkModel, weighted_steps, n: int, seed: int, reduce):
                 pool = [p for p in pool if p[3] < n and p[2]]
                 continue
             u = np.empty(pos.shape[1])
-            a = 0
+            a, offsets = 0, []
             for p in pool:
                 p[1].random(out=u[a:a + p[2]])
+                offsets.append(a)
                 a += p[2]
                 p[3] += 1
             pos += np.take(moves, pick(u), axis=1)
             stay = inside(pos.T)
             if not stay.all():
-                kept = np.cumsum(stay)[np.cumsum([p[2] for p in pool]) - 1].tolist()
-                for p, before, upto in zip(pool, [0] + kept, kept):
-                    p[2] = upto - before
+                # every stream in the pool has a walker, so no offset repeats
+                kept = np.add.reduceat(stay, offsets, dtype=np.intp).tolist()
+                for p, k in zip(pool, kept):
+                    p[2] = k
                 pos = np.compress(stay, pos, axis=1)
 
     return walk

@@ -108,6 +108,22 @@ class TestAnalyze:
         assert "exponential-survival-decay" in doc["regimeTags"]
         assert "bounds" not in doc
 
+    def test_3d_walk_with_bounds(self, tmp_path_factory, dp_passes):
+        # a tilted octant walk of lattice index 2 that can exit on every axis:
+        # survival, the excursion and the bounds come off one 3D pass
+        model = _zoo.TILTED_OCTANT
+        assert (model.dimension, model.dist.lattice_index) == (3, 2)
+        path = _model_file(tmp_path_factory, "tilted_octant", model)
+        doc, code = run_report(["analyze", "--model", path, "--horizon", "30",
+                                "--kmax", "5", "--target", "2,1,1"])
+        assert code == 0
+        assert dp_passes == [30]
+        survival, excursion, bounds = exact_dp.survival_pass(model, 30, (2, 1, 1))
+        assert any(excursion.terms)
+        assert doc["sequences"] == {"survival": report.sequence_block(survival),
+                                    "excursion": report.sequence_block(excursion)}
+        assert doc["bounds"] == report.bounds_block(bounds)
+
 
 class TestRho:
     def test_known_minimizer(self, neg_1d_path):

@@ -281,6 +281,33 @@ class TestKernel:
                     else:
                         assert layer.ravel().tolist() == ref.ravel().tolist()
 
+    def test_a_pass_makes_each_class_move_once(self, five_step_model, exterior_2d,
+                                               monkeypatch):
+        # a pass makes the move of a class under a step the first time it
+        # asks, so the count does not grow with the horizon, and the exit
+        # sweep reads the moves the kernel made
+        made, moves = [], exact_dp._moves
+
+        def counted(r, v, m):
+            made.append((r, v))
+            return moves(r, v, m)
+
+        monkeypatch.setattr(exact_dp, "_moves", counted)
+        counts = []
+        for n in (50, 100):
+            made.clear()
+            survival_sequence(exterior_2d, n)
+            counts.append(len(made))
+        assert len(set(made)) == len(made)
+        m, d, steps = (exterior_2d.dist.lattice_index, exterior_2d.dimension,
+                       exterior_2d.dist.steps)
+        assert counts[0] == counts[1] <= m ** d * len(steps) == 16
+        # five-step has m = 1: one class, one move per step, kernel and sweep
+        made.clear()
+        bounds = escape_probability_bounds(five_step_model, 30, (1, 1))
+        assert bounds.excursion is not None
+        assert sorted(made) == sorted(((0, 0), v) for v, _ in five_step_model.dist.steps)
+
 
 def _random_walk(rng, d: int, trapped: bool):
     """A walk of 2-4 distinct steps with coordinates in -3..2 (none in a
@@ -778,19 +805,21 @@ class TestMemoryBudget:
         # two classes of ceil((k+1)/2)^2) cannot pass x + y = k:
         # tri(k) = (k+1)(k+2)/2 of the (k+1)^2 points.  Its weights 1, 1, 2, 2
         # over 6 are tilted to unit weights, so its layers count paths below
-        # 4^k and no step holds a scaled copy.
+        # 4^k and no step holds a scaled copy.  On top of the largest step
+        # sits the pass's table of moves, 184 bytes (d = 2) for each step and
+        # class: five-step's 5 steps on 1 class, the exterior's 4 on 4.
         n, band = 60, exact_dp._keep
 
         def tri(j):
             return (j + 1) * (j + 2) // 2 if j >= 0 else 0
 
-        def peak(counts, held, denominator):
+        def peak(counts, held, denominator, moves):
             def step(k):
                 (s0, l0), (s, l) = counts(k - 1) if k > 1 else (1, 1), counts(k)
                 ints = held * l0 + l + 8 * (n + 1)
                 return (8 * (held * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1))
                         + ints * (40 + k * math.log2(denominator) / 7.5))
-            return max(step(k) for k in range(1, n + 1))
+            return max(step(k) for k in range(1, n + 1)) + 184 * moves
 
         def five(k):
             return (k + 1) ** 2, (k + 1) ** 2
@@ -812,18 +841,18 @@ class TestMemoryBudget:
 
         five_steps, exterior_steps = (exact_dp._kernel_steps(model, lattice_tilt(model))
                                       for model in (five_step_model, exterior_2d))
-        assert _dp_bytes(five_step_model, n, five_steps) == pytest.approx(peak(five, 1, 5))
+        assert _dp_bytes(five_step_model, n, five_steps) == pytest.approx(peak(five, 1, 5, 5))
         assert _dp_bytes(five_step_model, n, five_steps, band(five_step_model)) == \
-            pytest.approx(peak(five_band, 1, 5))
+            pytest.approx(peak(five_band, 1, 5, 5))
         assert _dp_bytes(five_step_model, n, five_steps,
                          band(five_step_model, (0, 0), band=False)) == \
-            pytest.approx(peak(five_cut, 1, 5))
-        assert _dp_bytes(exterior_2d, n, exterior_steps) == pytest.approx(peak(exterior, 1, 4))
+            pytest.approx(peak(five_cut, 1, 5, 5))
+        assert _dp_bytes(exterior_2d, n, exterior_steps) == pytest.approx(peak(exterior, 1, 4, 16))
         assert _dp_bytes(exterior_2d, n, exterior_steps, band(exterior_2d)) == \
-            pytest.approx(peak(exterior_band, 1, 4))
-        # floats: the same slots, the 64 KiB for the interpreter and no ints;
-        # the whole box peaks at its last step
+            pytest.approx(peak(exterior_band, 1, 4, 16))
+        # floats: the same slots, the 64 KiB for the interpreter, the moves
+        # and no ints; the whole box peaks at its last step
         (s0, _), (s, _) = exterior(n - 1), exterior(n)
         float_steps, _drift = tilt_distribution(exterior_2d.dist, (0.0, 0.0))
         assert _dp_bytes(exterior_2d, n, float_steps, None, float) == pytest.approx(
-            8 * (2 * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1)) + 2 ** 16)
+            8 * (2 * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1)) + 2 ** 16 + 184 * 16)
