@@ -22,7 +22,7 @@ from conewalk import exact_dp
 from conewalk._zoo import (DIAGONAL, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D, POS_1D,
                            PRODUCT_DIAGONAL, SKEWED, TILTED_OCTANT, walk)
 from conewalk.exact_dp import _dp_bytes
-from conewalk.lattice_tilt import lattice_tilt
+from conewalk.lattice_tilt import LatticeTilt, lattice_tilt
 from conewalk.errors import (
     ConewalkError,
     DriftNotInterior,
@@ -736,8 +736,23 @@ class TestMemoryBudget:
         with pytest.raises(MemoryBudgetExceeded, match="no horizon fits"):
             survival_sequence(five_step_model, 0)
 
+    @pytest.mark.parametrize("name,n,readout", [
+        pytest.param("five-step", 60, "bounds", id="five-step-60"),
+        pytest.param("exterior", 60, "survival", id="exterior-60"),
+        pytest.param("exterior", 250, "survival", id="exterior-250"),
+        pytest.param("octant", 40, "survival", id="octant-40"),
+        pytest.param("long-back", 60, "survival", id="long-back-60"),
+        pytest.param("long-back", 200, "survival", id="long-back-200"),
+        pytest.param("diagonal-back", 60, "survival", id="diagonal-back-60"),
+        pytest.param("heavy-ne", 60, "survival", id="heavy-ne-60"),
+        pytest.param("simple", 120, "excursion", id="simple-excursion-120"),
+        pytest.param("exterior", 60, "tilted", id="float-exterior-60"),
+        pytest.param("exterior", 400, "tilted", id="float-exterior-400"),
+        pytest.param("octant", 40, "tilted", id="float-octant-40"),
+    ])
     def test_prediction_covers_traced_peak(self, five_step_model, exterior_2d,
-                                           octant_3d, simple_walk_2d, monkeypatch):
+                                           octant_3d, simple_walk_2d, monkeypatch,
+                                           name, n, readout):
         # survival and the escape bounds keep the exit band, the excursion the
         # states that can reach its target, and the float tilted functional
         # the whole box.  The exterior's integer weights 1, 1, 2, 2 are tilted
@@ -749,9 +764,19 @@ class TestMemoryBudget:
         diagonal_back = walk({(1, 0): F(3, 8), (0, 1): F(3, 8), (-5, -5): F(1, 4)}, (0, 0))
         assert lattice_tilt(HEAVY_NE).powers == ()
         assert lattice_tilt(exterior_2d).powers != ()
-        t_ext = analyze(exterior_2d.dist, exterior_2d.cone).t0
-        t_oct = analyze(octant_3d.dist, octant_3d.cone).t0
+        model = {"five-step": five_step_model, "exterior": exterior_2d, "octant": octant_3d,
+                 "long-back": LONG_BACK, "diagonal-back": diagonal_back, "heavy-ne": HEAVY_NE,
+                 "simple": simple_walk_2d}[name]
         band = exact_dp._keep
+        if readout == "tilted":
+            t0 = analyze(model.dist, model.cone).t0
+        passes, keep, dtype = {
+            "survival": ((survival_sequence,), band(model), object),
+            "bounds": ((survival_sequence, escape_probability_bounds), band(model), object),
+            "excursion": ((lambda model, n: excursion_sequence(model, (1, 1), n),),
+                          band(model, (1, 1), band=False), object),
+            "tilted": ((lambda model, n: tilted_survival_functional(model, t0, n),), None, float),
+        }[readout]
         survival_sequence(five_step_model, 2)
         ran, layers = [], exact_dp._layers
 
@@ -760,33 +785,15 @@ class TestMemoryBudget:
             return layers(model, n, steps, dtype, keep)
 
         monkeypatch.setattr(exact_dp, "_layers", recorded)
-        for model, n, passes, keep, dtype in (
-                (five_step_model, 60, (survival_sequence, escape_probability_bounds),
-                 band(five_step_model), object),
-                (exterior_2d, 60, (survival_sequence,), band(exterior_2d), object),
-                (exterior_2d, 250, (survival_sequence,), band(exterior_2d), object),
-                (octant_3d, 40, (survival_sequence,), band(octant_3d), object),
-                (LONG_BACK, 60, (survival_sequence,), band(LONG_BACK), object),
-                (LONG_BACK, 200, (survival_sequence,), band(LONG_BACK), object),
-                (diagonal_back, 60, (survival_sequence,), band(diagonal_back), object),
-                (HEAVY_NE, 60, (survival_sequence,), band(HEAVY_NE), object),
-                (simple_walk_2d, 120, (lambda model, n: excursion_sequence(model, (1, 1), n),),
-                 band(simple_walk_2d, (1, 1), band=False), object),
-                (exterior_2d, 60, (lambda model, n: tilted_survival_functional(model, t_ext, n),),
-                 None, float),
-                (exterior_2d, 400, (lambda model, n: tilted_survival_functional(model, t_ext, n),),
-                 None, float),
-                (octant_3d, 40, (lambda model, n: tilted_survival_functional(model, t_oct, n),),
-                 None, float)):
-            tracemalloc.start()
-            try:
-                for run in passes:
-                    run(model, n)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # charged on the steps the kernel ran
-            assert peak <= _dp_bytes(model, n, ran[-1], keep, dtype) <= 2.5 * peak
+        tracemalloc.start()
+        try:
+            for run in passes:
+                run(model, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # charged on the steps the kernel ran
+        assert peak <= _dp_bytes(model, n, ran[-1], keep, dtype) <= 2.5 * peak
 
     @pytest.mark.parametrize("box,start,reach", [
         ((5,), (2,), 1), ((7, 4), (0, 0), 3), ((7, 4), (1, 2), 20),
@@ -817,7 +824,7 @@ class TestMemoryBudget:
             def step(k):
                 (s0, l0), (s, l) = counts(k - 1) if k > 1 else (1, 1), counts(k)
                 ints = held * l0 + l + 8 * (n + 1)
-                return (8 * (held * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1))
+                return (8 * (held * s0 + s + 3 * min(s, exact_dp._BUFSIZE) + 8 * (n + 1))
                         + ints * (40 + k * math.log2(denominator) / 7.5))
             return max(step(k) for k in range(1, n + 1)) + 184 * moves
 
@@ -855,4 +862,98 @@ class TestMemoryBudget:
         (s0, _), (s, _) = exterior(n - 1), exterior(n)
         float_steps, _drift = tilt_distribution(exterior_2d.dist, (0.0, 0.0))
         assert _dp_bytes(exterior_2d, n, float_steps, None, float) == pytest.approx(
-            8 * (2 * s0 + s + 3 * min(s, np.getbufsize()) + 8 * (n + 1)) + 2 ** 16 + 184 * 16)
+            8 * (2 * s0 + s + 3 * min(s, exact_dp._BUFSIZE) + 8 * (n + 1)) + 2 ** 16 + 184 * 16)
+
+
+# each pass stopped at layer 3 in the kernel and, where a function of its own
+# reads the layer, in the readout: the exit sweep of ``_read`` or the tilted
+# functional's contraction
+READOUTS = ["_exit_slabs", None, "_exit_slabs", "_exit_slabs", None, "_contract"]
+RAISING = ([pytest.param(run, "_Layer", id=f"{name}-kernel")
+            for run, name in zip(PASSES, PASS_IDS)]
+           + [pytest.param(run, hook, id=f"{name}-readout")
+              for run, name, hook in zip(PASSES, PASS_IDS, READOUTS) if hook])
+
+
+class TestUfuncBuffer:
+    """A pass runs its ufuncs in ``exact_dp._BUFSIZE``-entry buffers and hands
+    the caller back its own buffer size and error handling, also when it
+    raises; numpy 1.24's ``errstate`` does not restore the buffer size."""
+
+    CALLER = (1024, {"divide": "ignore", "over": "ignore", "under": "ignore",
+                     "invalid": "ignore"})
+
+    @staticmethod
+    def _as_caller(size, run):
+        """``run()`` under a caller's buffer ``size`` with every float error
+        ignored; return its result and the numpy state it leaves behind."""
+        old = np.setbufsize(size)
+        try:
+            with np.errstate(all="ignore"):
+                return run(), (np.getbufsize(), np.geterr())
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("run", PASSES, ids=PASS_IDS)
+    def test_a_pass_restores_the_callers_state(self, five_step_model, monkeypatch, run):
+        # the buffer size where the kernel makes a layer, the exit sweep and
+        # the tilted functional contract and ``survival_layers`` weighs a class
+        seen, layer = [], exact_dp._Layer
+
+        class Layer(layer):
+            __slots__ = ()
+
+            def __init__(self, moves):
+                seen.append(np.getbufsize())
+                super().__init__(moves)
+
+        def recorded(original):
+            def run(*args):
+                seen.append(np.getbufsize())
+                return original(*args)
+            return run
+
+        monkeypatch.setattr(exact_dp, "_Layer", Layer)
+        monkeypatch.setattr(exact_dp, "_contract", recorded(exact_dp._contract))
+        monkeypatch.setattr(LatticeTilt, "axis_weights", recorded(LatticeTilt.axis_weights))
+        assert self._as_caller(1024, lambda: run(five_step_model, 12))[1] == self.CALLER
+        # ``survival_layers`` makes layer 0 at the caller's size
+        assert len(seen) >= 13 and set(seen[1:]) == {exact_dp._BUFSIZE}
+
+    @pytest.mark.parametrize("run,hook", RAISING)
+    def test_a_pass_that_raises_restores_the_callers_state(self, five_step_model,
+                                                           monkeypatch, run, hook):
+        # five-step has one class, so each layer makes one ``_Layer`` and one
+        # contraction, and sweeps its exit slabs from step 0
+        layers, original = itertools.count(), getattr(exact_dp, hook)
+
+        def failing(*args):
+            if (hook != "_exit_slabs" or args[1] == 0) and next(layers) == 3:
+                raise RuntimeError("layer 3")
+            return original(*args)
+
+        def stopped():
+            with pytest.raises(RuntimeError, match="layer 3"):
+                run(five_step_model, 12)
+
+        monkeypatch.setattr(exact_dp, hook, failing)
+        assert self._as_caller(1024, stopped)[1] == self.CALLER
+
+    def test_results_do_not_follow_the_callers_buffer(self, five_step_model, exterior_2d,
+                                                      octant_3d):
+        # at n = 200 a class of the exterior holds 101^2 entries, more than 8192
+        t0 = analyze(exterior_2d.dist, exterior_2d.cone).t0
+        steps = exact_dp._kernel_steps(exterior_2d, lattice_tilt(exterior_2d))
+
+        def results():
+            layers = exact_dp._integer_layers(exterior_2d, 60, lattice_tilt(exterior_2d))
+            return ([{r: a.tolist() for r, a in layer.items()} for layer in layers],
+                    survival_sequence(exterior_2d, 200), survival_sequence(octant_3d, 30),
+                    exact_dp.survival_pass(five_step_model, 60, (2, 1)),
+                    [x.hex() for x in tilted_survival_functional(exterior_2d, t0, 200)],
+                    [_dp_bytes(exterior_2d, 200, steps, keep, dtype)
+                     for keep, dtype in ((None, object), (exact_dp._keep(exterior_2d), object),
+                                         (None, float))])
+
+        first, *rest = (self._as_caller(size, results)[0] for size in (16, 8192, 65536))
+        assert all(other == first for other in rest)
