@@ -26,20 +26,18 @@ DEFAULT_KMAX = 30
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="conewalk")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "enumerate", "excursion", "rho", "bounds",
-                 "guess", "simulate"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--model", required=True, help="model file path")
-        sp.add_argument("--horizon", type=int, default=None)
-        sp.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
-        sp.add_argument("--target", type=str, default=None,
-                        help="comma-separated lattice point, e.g. '0,0'")
-        sp.add_argument("--samples", type=int, default=0)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--normalize", action="store_true")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("command", choices=("analyze", "enumerate", "excursion", "rho",
+                                       "bounds", "guess", "simulate"))
+    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
+    p.add_argument("--target", type=str, default=None,
+                   help="comma-separated lattice point, e.g. '0,0'")
+    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--normalize", action="store_true")
+    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     return p
 
 

@@ -54,17 +54,17 @@ and the rest stay zero; this halves the entries a 2D pass writes.
 ``survival_layers`` and the tilted functional read whole layers and keep the
 whole box.
 
-A pass runs its ufuncs in ``_BUFSIZE``-entry buffers (``_buffered``): on a
-strided slice an ``object`` ufunc copies operands through buffers of
+The kernel runs its ufuncs in ``_BUFSIZE``-entry buffers (``_advance``): on
+a strided slice an ``object`` ufunc copies operands through buffers of
 ``np.getbufsize()`` (8192) pointers to ~90-byte ints, which spill a 48 KB L1
 and 2 MB L2.  A strided 300-bit add costs 37 ns an entry at 8192 and 25 ns at
 16-256; 75% of the exterior n = 250 pass's adds are strided, and at 64 it ran
-11% faster with the same terms.
+11% faster with the same terms.  The readouts run as fast at 8192 as at 64,
+so they run at the caller's size.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -88,7 +88,7 @@ from .model import WalkModel, _integers, excursion_target
 
 DEFAULT_MEM_BUDGET = 2 * 2 ** 30  # bytes
 A_INF_HORIZON = 100  # escape bounds at horizons 0..100 estimate P(tau = inf)
-_BUFSIZE = 64  # ufunc buffer entries of a pass (see the module docstring)
+_BUFSIZE = 64  # ufunc buffer entries of the kernel (see the module docstring)
 
 SequenceKind = Literal["survival", "excursion", "g_functional"]
 
@@ -143,19 +143,6 @@ class EscapeBounds:
         over horizons 0..A_INF_HORIZON."""
         head = self.intervals[:A_INF_HORIZON + 1]
         return float(max(lo for lo, _ in head) + min(hi for _, hi in head)) / 2.0
-
-
-def _buffered(f):
-    """``f`` run with ufunc buffers of ``_BUFSIZE`` entries; the caller's size
-    is restored when it returns or raises."""
-    @functools.wraps(f)
-    def run(*args, **kwargs):
-        size = np.setbufsize(_BUFSIZE)
-        try:
-            return f(*args, **kwargs)
-        finally:
-            np.setbufsize(size)
-    return run
 
 
 def _mem_budget() -> int:
@@ -379,46 +366,52 @@ class _Layer(dict):
         self.moves = moves
 
 
-@_buffered
-def _advance(classes: dict, steps, boxes, moves) -> dict:
-    """One DP transition: each step v adds c_v * layer[x] at x + v, for every
-    x with x + v in the orthant and in one of the disjoint keep boxes.
+def _advance(classes: dict, boxes, moves) -> dict:
+    """One DP transition: each step v of ``moves.steps`` adds c_v * layer[x]
+    at x + v, for every x with x + v in the orthant and in one of the
+    disjoint keep boxes.
 
     In class r a box [lo, hi) holds the entries j with r + m*j inside it, and
     the class is stored in the smallest array that holds its boxes, once a
     step writes to it.  In each box of a class the first step to write
     assigns its slice into the zeros, and later steps add into it.  Each run
-    of adjacent steps with equal weight scales the stored classes once.
+    of adjacent steps with equal weight scales the stored classes once.  The
+    ufuncs run in ``_BUFSIZE``-entry buffers, and the caller's size comes back
+    when the step returns or raises.
     """
-    m, new, parts, written, weight = moves.m, _Layer(moves), {}, set(), None
-    for i, (v, c) in enumerate(steps):
-        if c != weight:
-            # free the last product before this one forms
-            scaled = a = None
-            scaled, weight = classes if c == 1 else {r: c * a for r, a in classes.items()}, c
-        for r, a in scaled.items():
-            to, shift = moves[r][i]
-            if to not in parts:
-                parts[to] = [[(-((t - lo) // m), -((t - hi) // m))
-                              for t, (lo, hi) in zip(to, box)] for box in boxes]
-            for part, ranges in enumerate(parts[to]):
-                src, dst = [], []
-                for s, size, (lo, hi) in zip(shift, a.shape, ranges):
-                    lo, hi = s if s > lo else lo, size + s if size + s < hi else hi
-                    if lo >= hi:
-                        break  # no entry lands in the orthant and this box
-                    src.append(slice(lo - s, hi - s))
-                    dst.append(slice(lo, hi))
-                else:
-                    if (to, part) in written:
-                        new[to][tuple(dst)] += a[tuple(src)]
-                        continue
-                    if to not in new:
-                        shape = [max(hi for _, hi in axis) for axis in zip(*parts[to])]
-                        new[to] = np.zeros(shape, dtype=a.dtype)
-                    new[to][tuple(dst)] = a[tuple(src)]
-                    written.add((to, part))
-    return new
+    caller = np.setbufsize(_BUFSIZE)
+    try:
+        m, new, parts, written, weight = moves.m, _Layer(moves), {}, set(), None
+        for i, (v, c) in enumerate(moves.steps):
+            if c != weight:
+                # free the last product before this one forms
+                scaled = a = None
+                scaled, weight = classes if c == 1 else {r: c * a for r, a in classes.items()}, c
+            for r, a in scaled.items():
+                to, shift = moves[r][i]
+                if to not in parts:
+                    parts[to] = [[(-((t - lo) // m), -((t - hi) // m))
+                                  for t, (lo, hi) in zip(to, box)] for box in boxes]
+                for part, ranges in enumerate(parts[to]):
+                    src, dst = [], []
+                    for s, size, (lo, hi) in zip(shift, a.shape, ranges):
+                        lo, hi = s if s > lo else lo, size + s if size + s < hi else hi
+                        if lo >= hi:
+                            break  # no entry lands in the orthant and this box
+                        src.append(slice(lo - s, hi - s))
+                        dst.append(slice(lo, hi))
+                    else:
+                        if (to, part) in written:
+                            new[to][tuple(dst)] += a[tuple(src)]
+                            continue
+                        if to not in new:
+                            shape = [max(hi for _, hi in axis) for axis in zip(*parts[to])]
+                            new[to] = np.zeros(shape, dtype=a.dtype)
+                        new[to][tuple(dst)] = a[tuple(src)]
+                        written.add((to, part))
+        return new
+    finally:
+        np.setbufsize(caller)
 
 
 def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]:
@@ -445,7 +438,7 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
     first[r] = np.zeros(_class_shape([x + 1 for x in start], r, m), dtype=dtype)
     first[r][tuple(x // m for x in start)] = 1
     return itertools.accumulate(range(1, n + 1), lambda layer, k: _advance(
-        layer, steps, _boxes([x + k * g + 1 for x, g in zip(start, grow)], n, k, keep), moves),
+        layer, _boxes([x + k * g + 1 for x, g in zip(start, grow)], n, k, keep), moves),
         initial=first)
 
 
@@ -455,7 +448,6 @@ def _integer_layers(model: WalkModel, n: int, tilt: LatticeTilt, keep=None) -> I
     return _layers(model, n, _kernel_steps(model, tilt), object, keep)
 
 
-@_buffered
 def _masses(tilt: LatticeTilt, k: int, layer: dict) -> dict:
     """Layer k of ``_integer_layers`` as the numerators over D^k of the
     confined masses: w_k N_k entry by entry, N_k itself under the identity
@@ -500,7 +492,6 @@ def _exit_slabs(layer: _Layer, step: int):
                 yield a[slab], [t + m * (c + b) for t, c, b in zip(to, lo, shift)]
 
 
-@_buffered
 def _read(model: WalkModel, n: int, target=None, gammas=None, survival: bool = True):
     """Read the survival sequence (None without ``survival``), the excursion
     sequence at ``target`` (None without one) and, given the ratios
@@ -600,7 +591,6 @@ def excursion_sequence(model: WalkModel, y, n: int) -> ExactSequence:
     return _read(model, n, y, survival=False)[1]
 
 
-@_buffered
 def tilted_survival_functional(model: WalkModel, t0, n: int) -> list[float]:
     """Expectation of e^{-<t0,S_k>} over confined paths under the tilted law.
 

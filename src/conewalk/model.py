@@ -170,7 +170,7 @@ class StepDistribution:
             warnings.warn(
                 "step vectors do not span the ambient space",
                 DegenerateDistributionWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @cached_property

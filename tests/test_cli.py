@@ -342,6 +342,31 @@ class TestDpPasses:
         assert dp_passes == []
 
 
+COMMANDS = ("analyze", "enumerate", "excursion", "rho", "bounds", "guess", "simulate")
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_full_argv_parses(self, command):
+        args = cli._parser().parse_args([
+            command, "--model", "m.json", "--horizon", "40", "--kmax", "7",
+            "--target", "1,2", "--samples", "100", "--seed", "3", "--normalize",
+            "--out", "report", "--format", "csv"])
+        assert vars(args) == {
+            "command": command, "model": "m.json", "horizon": 40, "kmax": 7,
+            "target": "1,2", "samples": 100, "seed": 3, "normalize": True,
+            "out": "report", "format": "csv"}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["walk", "--model", "m.json"], "argument command: invalid choice: 'walk'"),
+        (["analyze"], "the following arguments are required: --model"),
+    ], ids=["unknown-command", "no-model"])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            run_report(argv)
+        assert exit_.value.code == 2 and message in capsys.readouterr().err
+
+
 class TestErrorsAndExitCodes:
     def test_missing_file(self):
         doc, code = run_report(["analyze", "--model", "/nonexistent.json"])
@@ -459,8 +484,10 @@ class TestErrorsAndExitCodes:
         _, code = run_report(["enumerate", "--model", str(path),
                               "--horizon", "30", "--kmax", "5"])
         assert code == 2
-        _, code = run_report(["enumerate", "--model", str(path),
-                              "--horizon", "30", "--kmax", "5", "--normalize"])
+        with pytest.warns(UserWarning, match="no confined path"), \
+                pytest.warns(UserWarning, match="do not span"):
+            _, code = run_report(["enumerate", "--model", str(path),
+                                  "--horizon", "30", "--kmax", "5", "--normalize"])
         assert code == 0
 
 

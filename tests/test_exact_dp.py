@@ -22,7 +22,7 @@ from conewalk import exact_dp
 from conewalk._zoo import (DIAGONAL, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D, POS_1D,
                            PRODUCT_DIAGONAL, SKEWED, TILTED_OCTANT, walk)
 from conewalk.exact_dp import _dp_bytes
-from conewalk.lattice_tilt import LatticeTilt, lattice_tilt
+from conewalk.lattice_tilt import lattice_tilt
 from conewalk.errors import (
     ConewalkError,
     DriftNotInterior,
@@ -167,7 +167,9 @@ class TestSurvival:
         assert float(value) == 0.375
 
     def test_halfspace_cone_rejected(self):
-        model = walk({(1, 0): F(1, 2), (-1, 0): F(1, 2)}, (0, 0), [[1, 0], [0, 1]])
+        with pytest.warns(UserWarning, match="no confined path"), \
+                pytest.warns(UserWarning, match="do not span"):
+            model = walk({(1, 0): F(1, 2), (-1, 0): F(1, 2)}, (0, 0), [[1, 0], [0, 1]])
         with pytest.raises(UnsupportedCone):
             survival_sequence(model, 3)
 
@@ -342,6 +344,38 @@ def _box_of(layer, shape, m):
     for r, a in layer.items():
         box[tuple(slice(c, c + m * s, m) for c, s in zip(r, a.shape))] = a
     return box
+
+
+class TestExitSlabs:
+    def test_slabs_split_the_exiting_entries(self):
+        # each entry of a layer is labelled by its flat index over the layer, so
+        # a slab's labels name the states it holds
+        rng = np.random.default_rng(29)
+        cases = [_random_walk(rng, d, False)[0] for d in (2, 3) for _ in range(8)]
+        assert {model.dist.lattice_index > 1 for model in cases} == {True, False}
+        # a step that leaves through two faces at once needs the earlier axes' bounds
+        assert any(sum(c < 0 for c in v) > 1 for model in cases for v, _ in model.dist.steps)
+        swept = 0
+        for model in cases:
+            m = model.dist.lattice_index
+            for layer in exact_dp._integer_layers(model, 6, lattice_tilt(model)):
+                labelled, points = exact_dp._Layer(layer.moves), {}
+                for r, a in layer.items():
+                    labelled[r] = np.arange(len(points), len(points) + a.size).reshape(a.shape)
+                    for j in np.ndindex(a.shape):
+                        points[labelled[r][j]] = [c + m * i for c, i in zip(r, j)]
+                for step, (v, _) in enumerate(layer.moves.steps):
+                    labels = []
+                    for slab, corner in exact_dp._exit_slabs(labelled, step):
+                        if slab.size:
+                            first = points[slab[(0,) * slab.ndim]]
+                            assert corner == [x + a for x, a in zip(first, v)]
+                        labels += slab.ravel().tolist()
+                    assert len(labels) == len(set(labels))
+                    assert set(labels) == {label for label, x in points.items()
+                                           if any(c + a < 0 for c, a in zip(x, v))}
+                    swept += len(labels)
+        assert swept
 
 
 class TestKeepBoxes:
@@ -876,9 +910,10 @@ RAISING = ([pytest.param(run, "_Layer", id=f"{name}-kernel")
 
 
 class TestUfuncBuffer:
-    """A pass runs its ufuncs in ``exact_dp._BUFSIZE``-entry buffers and hands
-    the caller back its own buffer size and error handling, also when it
-    raises; numpy 1.24's ``errstate`` does not restore the buffer size."""
+    """The kernel runs its ufuncs in ``exact_dp._BUFSIZE``-entry buffers, and a
+    pass hands the caller back its own buffer size and error handling, also
+    when it raises; numpy 1.24's ``errstate`` does not restore the buffer
+    size."""
 
     CALLER = (1024, {"divide": "ignore", "over": "ignore", "under": "ignore",
                      "invalid": "ignore"})
@@ -896,8 +931,8 @@ class TestUfuncBuffer:
 
     @pytest.mark.parametrize("run", PASSES, ids=PASS_IDS)
     def test_a_pass_restores_the_callers_state(self, five_step_model, monkeypatch, run):
-        # the buffer size where the kernel makes a layer, the exit sweep and
-        # the tilted functional contract and ``survival_layers`` weighs a class
+        # the buffer size where each layer is made: layer 0 by the pass, the
+        # later ones by the kernel
         seen, layer = [], exact_dp._Layer
 
         class Layer(layer):
@@ -907,18 +942,9 @@ class TestUfuncBuffer:
                 seen.append(np.getbufsize())
                 super().__init__(moves)
 
-        def recorded(original):
-            def run(*args):
-                seen.append(np.getbufsize())
-                return original(*args)
-            return run
-
         monkeypatch.setattr(exact_dp, "_Layer", Layer)
-        monkeypatch.setattr(exact_dp, "_contract", recorded(exact_dp._contract))
-        monkeypatch.setattr(LatticeTilt, "axis_weights", recorded(LatticeTilt.axis_weights))
         assert self._as_caller(1024, lambda: run(five_step_model, 12))[1] == self.CALLER
-        # ``survival_layers`` makes layer 0 at the caller's size
-        assert len(seen) >= 13 and set(seen[1:]) == {exact_dp._BUFSIZE}
+        assert seen == [1024] + [exact_dp._BUFSIZE] * 12
 
     @pytest.mark.parametrize("run,hook", RAISING)
     def test_a_pass_that_raises_restores_the_callers_state(self, five_step_model,

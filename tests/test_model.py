@@ -80,13 +80,17 @@ class TestParsing:
     def test_normalize_flag(self):
         doc = dict(FIVE_STEP_DOC, steps=[{"v": [1, 0], "w": "1/5"},
                                          {"v": [-1, 0], "w": "1/5"}])
-        model = parse_model(json.dumps(doc), normalize=True)
+        with pytest.warns(UserWarning, match="no confined path"), \
+                pytest.warns(DegenerateDistributionWarning, match="do not span"):
+            model = parse_model(json.dumps(doc), normalize=True)
         assert all(w == F(1, 2) for _, w in model.dist.steps)
 
     def test_unreduced_rational_accepted(self):
         doc = dict(FIVE_STEP_DOC, steps=[{"v": [1, 0], "w": "2/4"},
                                          {"v": [-1, 0], "w": "3/6"}])
-        model = parse_model(json.dumps(doc))
+        with pytest.warns(UserWarning, match="no confined path"), \
+                pytest.warns(DegenerateDistributionWarning, match="do not span"):
+            model = parse_model(json.dumps(doc))
         assert all(w == F(1, 2) for _, w in model.dist.steps)
 
     def test_start_outside_cone(self):
@@ -101,6 +105,17 @@ class TestParsing:
         with pytest.warns(DegenerateDistributionWarning):
             model = parse_model(json.dumps(doc))
         assert not model.dist.truly_d_dimensional
+
+    def test_degenerate_step_sets_warn_where_they_are_built(self):
+        # the default filter shows a warning once per source location, so two
+        # degenerate step sets built at two lines must warn at those lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            StepDistribution(2, (((1, 1), F(1, 2)), ((-1, -1), F(1, 2))))
+            StepDistribution(2, (((1, 0), F(1, 2)), ((-1, 0), F(1, 2))))
+        assert [(w.category, w.filename) for w in caught] == [
+            (DegenerateDistributionWarning, __file__)] * 2
+        assert caught[1].lineno == caught[0].lineno + 1
 
     def test_interior_witness_searches_from_the_start(self):
         # (2, 0) -> (0, 2) -> (1, 1); from 0 no step stays in the quadrant

@@ -183,9 +183,9 @@ class TestLatticeTilt:
         seen = []
         advance = exact_dp._advance
 
-        def recorded(classes, steps, boxes, m):
-            seen.append([c for _, c in steps])
-            return advance(classes, steps, boxes, m)
+        def recorded(classes, boxes, moves):
+            seen.append([c for _, c in moves.steps])
+            return advance(classes, boxes, moves)
 
         monkeypatch.setattr(exact_dp, "_advance", recorded)
         survival_sequence(exterior_2d, 10)
