@@ -52,7 +52,8 @@ keeps the corner beyond the band and the excursion alone the whole.  Both
 sets hold the predecessors of their entries, so every kept entry is exact
 and the rest stay zero; this halves the entries a 2D pass writes.
 ``survival_layers`` and the tilted functional read whole layers and keep the
-whole box.
+whole box; ``survival_layers`` runs the identity tilt, so its layers hold the
+masses and ``_read`` is the one readout that weighs a layer by w_k.
 
 The kernel runs its ufuncs in ``_BUFSIZE``-entry buffers (``_advance``): on
 a strided slice an ``object`` ufunc copies operands through buffers of
@@ -444,33 +445,20 @@ def _layers(model: WalkModel, n: int, steps, dtype, keep=None) -> Iterator[dict]
 
 def _integer_layers(model: WalkModel, n: int, tilt: LatticeTilt, keep=None) -> Iterator[dict]:
     """Yield layers 0..n of the path counts N_k under the kernel weights of
-    ``tilt``, whose numerators over D^k are w_k N_k (see ``_masses``)."""
+    ``tilt``, whose numerators over D^k are w_k N_k: the masses themselves
+    under the identity tilt."""
     return _layers(model, n, _kernel_steps(model, tilt), object, keep)
 
 
-def _masses(tilt: LatticeTilt, k: int, layer: dict) -> dict:
-    """Layer k of ``_integer_layers`` as the numerators over D^k of the
-    confined masses: w_k N_k entry by entry, N_k itself under the identity
-    tilt."""
-    out = {}
-    for r, a in layer.items():
-        vectors, scale = tilt.axis_weights(a.shape)
-        for i, w in enumerate(vectors):  # a None vector weighs its axis by 1
-            a = a if w is None else a * w.reshape([-1] + [1] * (a.ndim - 1 - i))
-        num, den = tilt.weight(k, r)
-        out[r] = a * num // (den * scale)
-    return out
-
-
 def survival_layers(model: WalkModel, n: int) -> Iterator[StateLayer]:
-    """Exact state distributions P^x(tau>k, S_k = .) for k = 0..n."""
-    den = model.dist.common_denominator
-    tilt = lattice_tilt(model)
-    m = tilt.m
+    """Exact state distributions P^x(tau>k, S_k = .) for k = 0..n, off the
+    layers of the identity tilt, which hold the masses' numerators over D^k."""
+    den, m = model.dist.common_denominator, model.dist.lattice_index
+    tilt = LatticeTilt(m, model.start, ())
     for k, layer in enumerate(_integer_layers(model, n, tilt)):
         scale = den ** k
         masses = {}
-        for r, a in _masses(tilt, k, layer).items():
+        for r, a in layer.items():
             for j in map(tuple, np.argwhere(a).tolist()):
                 masses[tuple(c + m * i for c, i in zip(r, j))] = Fraction(a[j], scale)
         yield StateLayer(index=k, masses=dict(sorted(masses.items())))

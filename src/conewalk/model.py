@@ -105,6 +105,17 @@ def _feasible(rows, rhs, free) -> bool:
         basis[r] = col
 
 
+def _warn(message: str, category) -> None:
+    """Warn at the caller's line: the first frame outside the package, past
+    every conewalk function (and the dataclass ``__init__``s, whose globals
+    are their module's) between it and here, so that the default filter
+    shows one warning per line of the caller's code."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("conewalk."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
 _SEQUENCES = (list, tuple, np.ndarray)
 
 
@@ -167,11 +178,8 @@ class StepDistribution:
         if all(all(c == 0 for c in v) for v, _ in self.steps):
             raise MalformedFile("all step vectors are zero")
         if not self.truly_d_dimensional:
-            warnings.warn(
-                "step vectors do not span the ambient space",
-                DegenerateDistributionWarning,
-                stacklevel=3,
-            )
+            _warn("step vectors do not span the ambient space",
+                  DegenerateDistributionWarning)
 
     @cached_property
     def truly_d_dimensional(self) -> bool:
@@ -398,12 +406,8 @@ class WalkModel:
 def build_model(dist: StepDistribution, cone: ConeSpec, start) -> WalkModel:
     model = WalkModel(dist=dist, cone=cone, start=start)
     if model.interior_witness is None:
-        warnings.warn(
-            "no confined path into the cone interior found (searched depth "
-            f"{2 * dist.dimension + 2})",
-            UserWarning,
-            stacklevel=2,
-        )
+        _warn("no confined path into the cone interior found (searched depth "
+              f"{2 * dist.dimension + 2})", UserWarning)
     return model
 
 

@@ -392,6 +392,16 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert doc["error"].startswith("FileExistsError: ")
 
+    def test_stalled_minimizer(self, exterior_path, monkeypatch):
+        # rho needs the minimizer; enumerate runs without its laplace block
+        monkeypatch.setattr(laplace, "MAX_ITER", 0)
+        doc, code = run_report(["rho", "--model", exterior_path, "--horizon", "40"])
+        assert code == 2
+        assert doc["error"].startswith("NotConverged: ")
+        doc, code = run_report(["enumerate", "--model", exterior_path, "--horizon", "40"])
+        assert code == 0
+        assert "laplace" not in doc and "survival" in doc["sequences"]
+
     def test_negative_seed(self, five_step_path):
         doc, code = run_report(["analyze", "--model", five_step_path, "--horizon", "10",
                                 "--samples", "100", "--seed", "-1"])

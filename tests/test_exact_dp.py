@@ -19,10 +19,10 @@ from conewalk import (
     tilted_survival_functional,
 )
 from conewalk import exact_dp
-from conewalk._zoo import (DIAGONAL, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D, POS_1D,
-                           PRODUCT_DIAGONAL, SKEWED, TILTED_OCTANT, walk)
+from conewalk._zoo import (DIAGONAL, EXTERIOR, FIVE_STEP, HEAVY_NE, LONG_BACK, NEG_1D,
+                           POS_1D, PRODUCT_DIAGONAL, SKEWED, TILTED_OCTANT, walk)
 from conewalk.exact_dp import _dp_bytes
-from conewalk.lattice_tilt import lattice_tilt
+from conewalk.lattice_tilt import LatticeTilt, lattice_tilt
 from conewalk.errors import (
     ConewalkError,
     DriftNotInterior,
@@ -33,7 +33,7 @@ from conewalk.errors import (
     UnsupportedCone,
 )
 from conewalk.laplace import tilt_distribution
-from conewalk.model import _echelon_pivots, _lattice_index
+from conewalk.model import _echelon_pivots, _enumerate_layers, _lattice_index
 
 KREWERAS = walk({(-1, 0): F(1, 3), (0, -1): F(1, 3), (1, 1): F(1, 3)}, (0, 0))
 # never decreases: its target passes have no band and keep only what can reach y
@@ -93,11 +93,11 @@ def _scatter(layer, shape, m, dtype):
 
 
 def _weighted_layers(model, n):
-    """Layers 0..n of ``_integer_layers`` as the numerators over D^k of the
-    confined masses, by the readout ``survival_layers`` uses: w_k N_k."""
-    tilt = lattice_tilt(model)
-    return (exact_dp._masses(tilt, k, layer)
-            for k, layer in enumerate(exact_dp._integer_layers(model, n, tilt)))
+    """Layers 0..n of ``_integer_layers`` under the identity tilt, the layers
+    ``survival_layers`` reads: the numerators over D^k of the confined
+    masses."""
+    identity = LatticeTilt(model.dist.lattice_index, model.start, ())
+    return exact_dp._integer_layers(model, n, identity)
 
 
 def _reference_layers(model, n, steps, dtype):
@@ -200,6 +200,21 @@ class TestLayers:
     def test_first_layer_is_start(self, five_step_model):
         first = next(iter(survival_layers(five_step_model, 0)))
         assert first.masses == {(0, 0): F(1)}
+
+    @pytest.mark.parametrize("model, n", [
+        (EXTERIOR, 8), (DIAGONAL, 8), (SKEWED, 8), (TILTED_OCTANT, 7), (HEAVY_NE, 8),
+        (FIVE_STEP, 8)], ids=["exterior", "diagonal", "skewed", "tilted-octant",
+                              "heavy-ne", "five-step"])
+    def test_masses_match_path_enumeration(self, model, n):
+        # each state's mass is the weight of the confined paths that end there
+        den = model.dist.common_denominator
+        for layer, (k, pos, wts) in zip(survival_layers(model, n),
+                                        _enumerate_layers(model, n), strict=True):
+            sums = {}
+            for x, w in zip(map(tuple, pos.tolist()), wts):
+                sums[x] = sums.get(x, 0) + w
+            assert layer.index == k
+            assert layer.masses == {x: F(int(w), den ** k) for x, w in sums.items() if w}
 
 
 class TestKernel:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from conewalk import (
     ConeSpec,
@@ -19,8 +18,9 @@ from conewalk import (
     minimize_over_dual,
     tilt_distribution,
 )
+from conewalk import laplace
 from conewalk._zoo import EXTERIOR, FIVE_STEP, NEG_1D, POS_1D, SYM_1D, walk
-from conewalk.errors import NoGlobalMinimum, Unbounded
+from conewalk.errors import NoGlobalMinimum, NotConverged, Overflow, Unbounded
 from conewalk.laplace import ARMIJO_C, DEFAULT_TOL, MAX_ITER, _dual_generators
 
 
@@ -61,6 +61,12 @@ class TestEval:
         d = SYM_1D.dist
         v, g, h = laplace_eval(d, [600.0])
         assert math.isfinite(v) and v > 0
+
+    def test_overflow_is_typed(self):
+        # e^600 scaled by 1/4 is a float; e^800 is past the largest one
+        assert math.isfinite(laplace_eval(NEG_1D.dist, [600.0])[0])
+        with pytest.raises(Overflow, match="exceeds the representable range"):
+            laplace_eval(NEG_1D.dist, [800.0])
 
     def test_gradient_hessian_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -135,6 +141,12 @@ class TestMinimizeOverDual:
         t0, rho, _ = minimize_over_dual(EXTERIOR_2D, ConeSpec.orthant(2))
         assert t0 == pytest.approx([math.log(2) / 2] * 2, abs=1e-10)
         assert rho == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
+
+    def test_stalled_newton_is_typed(self, monkeypatch):
+        # no iteration left: the minimizer off t = 0 is not reached
+        monkeypatch.setattr(laplace, "MAX_ITER", 0)
+        with pytest.raises(NotConverged, match="projected Newton stalled"):
+            minimize_over_dual(EXTERIOR_2D, ConeSpec.orthant(2))
 
     def test_unbounded_when_support_one_sided(self):
         with warnings.catch_warnings():
@@ -286,6 +298,7 @@ def _reference_newton(dist):
 def _zero_in_relative_interior(vecs):
     """True iff 0 is in the relative interior of the hull of the rows: the
     max delta with theta >= delta, sum theta = 1, sum theta_v v = 0 is > 0."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     k, d = vecs.shape
     a_eq = np.vstack([np.hstack([vecs.T, np.zeros((d, 1))]),
                       np.append(np.ones(k), 0.0)])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import conewalk
 from conewalk import (
@@ -19,8 +18,10 @@ from conewalk import (
     brute_force_survival,
     build_model,
     excursion_sequence,
+    load_model,
     parse_model,
 )
+from conewalk._zoo import walk
 from conewalk.errors import (
     EmptyConeInterior,
     HorizonTooLarge,
@@ -116,6 +117,29 @@ class TestParsing:
         assert [(w.category, w.filename) for w in caught] == [
             (DegenerateDistributionWarning, __file__)] * 2
         assert caught[1].lineno == caught[0].lineno + 1
+
+    def test_every_way_to_build_a_model_warns_at_the_callers_line(self, tmp_path):
+        # both warnings name the line that asked for the model, however many
+        # of the package's frames lie between: the default filter then shows
+        # two models parsed at two lines twice
+        flat = (((1, 0), F(1, 2)), ((-1, 0), F(1, 2)))  # spans one axis, never enters
+        text = json.dumps({"dimension": 2, "cone": {"type": "orthant"}, "start": [0, 0],
+                           "steps": [{"v": list(v), "w": "1/2"} for v, _ in flat]})
+        path = tmp_path / "flat.json"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            dist = StepDistribution(2, flat)
+            build_model(dist, ConeSpec.orthant(2), (0, 0))
+            parse_model(text)
+            parse_model(text)
+            load_model(path)
+            walk(dict(flat), (0, 0))
+        degenerate, no_path = DegenerateDistributionWarning, UserWarning
+        assert {w.filename for w in caught} == {__file__}
+        assert [(w.category, w.lineno - caught[0].lineno) for w in caught] == [
+            (degenerate, 0), (no_path, 1), (degenerate, 2), (no_path, 2), (degenerate, 3),
+            (no_path, 3), (degenerate, 4), (no_path, 4), (degenerate, 5), (no_path, 5)]
 
     def test_interior_witness_searches_from_the_start(self):
         # (2, 0) -> (0, 2) -> (1, 1); from 0 no step stays in the quadrant
@@ -332,6 +356,7 @@ class TestFeasible:
     @given(small_systems())
     def test_agrees_with_linprog(self, system):
         rows, rhs, free = system
+        linprog = pytest.importorskip("scipy.optimize").linprog
         res = linprog(np.zeros(len(free)), A_ub=rows, b_ub=rhs,
                       bounds=[(None, None) if f else (0, None) for f in free],
                       method="highs")

@@ -99,8 +99,6 @@ class TestLatticeTilt:
                     num, den = tilt.weight(k, x)
                     assert ref[x] * den == num * count[x]
                     assert num % den == 0  # an integer where a path reaches x
-                masses = exact_dp._masses(tilt, k, layer)
-                assert _scatter(masses, ref.shape, m, object).tolist() == ref.tolist()
 
     def test_readouts_match_the_weighted_reference(self):
         # survival, the excursion and, on the bounds walks, g: the tilted walks
