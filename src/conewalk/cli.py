@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation error, 3 resource-budget error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -52,22 +51,13 @@ def _parse_target(raw: str):
 def _survival_verdict(seq, analysis, bounds, kmax):
     """Recurrence verdict on the survival terms; with escape bounds, on their
     remainder against ``bounds.a_inf``."""
-    # the decay rate of the two-term remainder is not L(t0)
-    rho = analysis.rho if analysis is not None and bounds is None else None
-    if rho is None and len(seq.terms) < seqlab.MIN_RATE_TERMS:
-        rho = 1.0  # too few terms to estimate a rate from the sequence
+    if bounds is None:
+        rho = analysis.rho if analysis is not None else None
+    else:  # the remainder's own rate; with too few terms, L(t0) = 1 of the interior drift
+        rho = 1.0 if len(seq.terms) < seqlab.MIN_RATE_TERMS else None
     kmax = min(kmax, (len(seq.terms) - seqlab.MIN_EXTRA_TERMS) // 2)
     return seqlab.sequence_verdict(seq.terms, kmax, rho=rho,
                                    a_inf=bounds.a_inf if bounds is not None else None)
-
-
-def _tilt_is_plain(model, analysis) -> bool:
-    """True iff the tilted estimate gets exactly the plain one's inputs
-    (t0 = 0, rho = 1 and the model's own float step weights), so that it is
-    the same deterministic computation."""
-    return (all(c == 0.0 for c in analysis.t0) and analysis.rho == 1.0
-            and [(v, float(w)) for v, w in analysis.tilted_steps]
-            == [(v, float(w)) for v, w in model.dist.steps])
 
 
 def run_report(argv) -> tuple[dict, int]:
@@ -83,6 +73,8 @@ def run_report(argv) -> tuple[dict, int]:
             raise ConewalkError(f"--kmax must be positive, got {args.kmax}")
         if args.samples < 0:
             raise ConewalkError(f"--samples must be non-negative, got {args.samples}")
+        if command == "simulate" and args.samples == 0:
+            raise ConewalkError("simulate needs --samples > 0")
         doc = report.base_report(model)
         sequences: dict[str, exact_dp.ExactSequence] = {}
         verdicts: dict = {}
@@ -123,10 +115,9 @@ def run_report(argv) -> tuple[dict, int]:
             sequences["excursion"] = excursion
             if analysis is not None and analysis.rho_global is not None:
                 period = seqlab.detect_period(excursion.terms)
-                lo = max(horizon // 4, period or 1)
                 try:
                     fit = seqlab.excursion_exponent_fit(
-                        excursion.terms, analysis.rho_global, (lo, horizon))
+                        excursion.terms, analysis.rho_global, (horizon // 4, horizon))
                     verdicts["excursionExponent"] = {
                         "provenance": "float",
                         "kappa": fit.kappa,
@@ -138,16 +129,8 @@ def run_report(argv) -> tuple[dict, int]:
                     pass
 
         if command in ("analyze", "simulate") and args.samples > 0:
-            estimates = [mc.simulate_survival(
-                model, horizon, args.samples, args.seed)]
-            if analysis is not None:
-                estimates.append(
-                    dataclasses.replace(estimates[0], method="tilted")
-                    if _tilt_is_plain(model, analysis)
-                    else mc.simulate_tilted(model, analysis, horizon, args.samples, args.seed))
-            doc["mc"] = [report.mc_block(e) for e in estimates]
-        elif command == "simulate":
-            raise ConewalkError("simulate needs --samples > 0")
+            doc["mc"] = [report.mc_block(e) for e in mc.survival_estimates(
+                model, analysis, horizon, args.samples, args.seed)]
 
         doc["sequences"] = {name: report.sequence_block(seq)
                             for name, seq in sequences.items()}

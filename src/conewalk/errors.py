@@ -89,7 +89,7 @@ class RateOutOfRange(ConewalkError):
 
 
 class AllZeroOnWindow(ConewalkError):
-    pass
+    """Fewer than two positive terms at n >= 1 on a fit window."""
 
 
 class UnsupportedLazyStep(ConewalkError):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,3 +208,18 @@ def simulate_tilted(model: WalkModel, analysis: LaplaceAnalysis, n: int,
     """
     return _estimate(model, analysis.tilted_steps, analysis.t0, analysis.rho, n,
                      samples, seed, workers, "tilted")
+
+
+def survival_estimates(model: WalkModel, analysis: LaplaceAnalysis | None, n: int,
+                       samples: int, seed: int) -> list[McEstimate]:
+    """The plain estimate of a_n and, given an analysis, the tilted one.  At
+    the zero tilt (t0 = 0, rho = 1 under the model's own float weights) the
+    tilted estimate is the plain one's computation, so it is not run twice."""
+    plain = simulate_survival(model, n, samples, seed)
+    if analysis is None:
+        return [plain]
+    if (all(c == 0.0 for c in analysis.t0) and analysis.rho == 1.0
+            and [(v, float(w)) for v, w in analysis.tilted_steps]
+            == [(v, float(w)) for v, w in model.dist.steps]):
+        return [plain, replace(plain, method="tilted")]
+    return [plain, simulate_tilted(model, analysis, n, samples, seed)]

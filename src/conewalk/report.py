@@ -41,7 +41,7 @@ def regime_tags(model: WalkModel, analysis) -> list[str]:
     if analysis is not None:
         if analysis.classification is laplace.DriftClass.INTERIOR:
             tags.append("interior-drift-positive-escape")
-            if model.small_step and not model.trapped:
+            if exact_dp.bounds_error(model) is None:
                 tags.append("interior-drift-two-term-decay")
         else:
             tags.append("exponential-survival-decay")

@@ -322,14 +322,14 @@ class ExponentFit:
 
 def excursion_exponent_fit(terms: Sequence, tilde_rho: float,
                            window: tuple[int, int]) -> ExponentFit:
-    """Fit e_n ~ C tilde_rho^n n^(-kappa) on the nonzero indices of a window."""
+    """Fit e_n ~ C tilde_rho^n n^(-kappa) on the positive terms of a window,
+    at n >= 1 (log n is the fit's abscissa)."""
     lo, hi = window
     log_rho = math.log(tilde_rho)
-    idx = [n for n in range(lo, min(hi + 1, len(terms))) if float(terms[n]) > 0]
-    if not idx:
+    idx = [n for n in range(max(lo, 1), min(hi + 1, len(terms))) if float(terms[n]) > 0]
+    if len(idx) < 2:
         raise AllZeroOnWindow(
-            "no positive terms on the window; pass a period-compatible window"
-        )
+            f"the fit needs two positive terms at n >= 1 on the window, got {len(idx)}")
     vals = [float(terms[n]) * math.exp(-n * log_rho) for n in idx]
     slope, rms = power_law_slope(idx, vals)
     return ExponentFit(kappa=-slope, residual=rms, indices_used=tuple(idx))
@@ -341,7 +341,7 @@ class SequenceVerdict:
 
     outcome: RecurrenceModel | NoRecurrenceUpTo
     rho_hat: float
-    rho_source: str               # "laplace" | "sequence"
+    rho_source: str               # "laplace" | "sequence" | "assumed"
     profile: SubexpProfile
     rate: RateEstimate | None = field(default=None, compare=False)
 
@@ -352,11 +352,13 @@ def sequence_verdict(terms: Sequence[Fraction], k_max: int,
     """Run the standard battery on one exact sequence."""
     outcome = guess_recurrence(terms, k_max)
     rate = None
-    if rho is None:
+    if rho is not None:
+        rho_hat, source = float(rho), "laplace"
+    elif len(terms) < MIN_RATE_TERMS:  # too few terms to estimate a rate
+        rho_hat, source = 1.0, "assumed"
+    else:
         rate = estimate_rho(terms)
         rho_hat, source = rate.rho_hat, "sequence"
-    else:
-        rho_hat, source = float(rho), "laplace"
     profile = subexponential_profile(terms, min(rho_hat, 1.0), a_inf=a_inf)
     return SequenceVerdict(outcome=outcome, rho_hat=rho_hat, rho_source=source,
                            profile=profile, rate=rate)

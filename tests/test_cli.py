@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -51,6 +52,21 @@ def pos_1d_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def heavy_ne_path(tmp_path_factory):
     return _model_file(tmp_path_factory, "heavy_ne", _zoo.HEAVY_NE)
+
+
+@pytest.fixture(scope="module")
+def trapped_path(tmp_path_factory):
+    return _model_file(tmp_path_factory, "trapped", _zoo.TRAPPED)
+
+
+@pytest.fixture(scope="module")
+def halfspace_five_step_path(tmp_path_factory):
+    """Five-step with its quarter plane written as two halfspaces: the same
+    cone, but not the orthant that the escape bounds need."""
+    path = tmp_path_factory.mktemp("models") / "fivestep_halfspaces.json"
+    path.write_text(json.dumps(
+        dict(FIVE_STEP, cone={"type": "halfspaces", "normals": [[1, 0], [0, 1]]})))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +141,21 @@ class TestAnalyze:
         assert doc["bounds"] == report.bounds_block(bounds)
 
 
+class TestRegimeTags:
+    @pytest.mark.parametrize("command", ["rho", "simulate"])
+    def test_two_term_tag_follows_the_bounds_rule(self, five_step_path,
+                                                  halfspace_five_step_path, command):
+        argv = [command, "--horizon", "20", "--samples", "100"]
+        doc, code = run_report(argv + ["--model", five_step_path])
+        assert code == 0
+        orthant = doc["regimeTags"]
+        assert "interior-drift-two-term-decay" in orthant
+        doc, code = run_report(argv + ["--model", halfspace_five_step_path])
+        assert code == 0
+        assert doc["regimeTags"] == [
+            t for t in orthant if t != "interior-drift-two-term-decay"]
+
+
 class TestRho:
     def test_known_minimizer(self, neg_1d_path):
         doc, code = run_report(["rho", "--model", neg_1d_path])
@@ -156,6 +187,24 @@ class TestExcursion:
                                                  abs=0.2)
         assert fit["kappa"] > 0
 
+    def test_target_defaults_to_the_start(self, five_step_path):
+        doc, code = run_report(["excursion", "--model", five_step_path,
+                                "--horizon", "10"])
+        assert code == 0
+        block = doc["sequences"]["excursion"]
+        assert block["target"] == [0, 0]
+        assert block["terms"][:3] == ["1/1", "0/1", "2/25"]
+
+    def test_no_exponent_from_one_term(self, five_step_path):
+        # at horizon 2 the only positive term at n >= 1 is e_2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc, code = run_report(["excursion", "--model", five_step_path,
+                                    "--horizon", "2", "--target", "0,0"])
+        assert code == 0
+        assert doc["sequences"]["excursion"]["terms"] == ["1/1", "0/1", "2/25"]
+        assert "excursionExponent" not in doc["verdicts"]
+
 
 class TestBounds:
     def test_interval_report(self, five_step_path):
@@ -180,6 +229,18 @@ class TestGuess:
         out = doc["verdicts"]["survival"]["outcome"]
         assert out["type"] == "no-recurrence"
         assert out["orderCap"] == 15
+
+    def test_recurrence_for_trapped_walk(self, trapped_path):
+        doc, code = run_report(["guess", "--model", trapped_path,
+                                "--horizon", "40", "--kmax", "5"])
+        assert code == 0
+        assert doc["verdicts"]["survival"]["outcome"] == {
+            "type": "recurrence",
+            "order": 1,
+            "coefficients": ["1/1"],
+            "characteristicRoots": [{"re": 1.0, "im": 0.0, "multiplicity": 1}],
+        }
+        assert "trapped-constant-sequence" in doc["regimeTags"]
 
 
 class TestSimulate:
@@ -321,6 +382,23 @@ class TestDpPasses:
                                 "needs an interior drift")
         assert dp_passes == []
 
+    @pytest.mark.parametrize("path, argv, error", [
+        ("halfspace_five_step_path", ["bounds"],
+         "UnsupportedCone: the boundary exit functional needs the orthant"),
+        ("five_step_path", ["simulate", "--horizon", "300", "--target", "0,0"],
+         "ConewalkError: simulate needs --samples > 0"),
+    ])
+    def test_rejected_before_laplace(self, request, dp_passes, monkeypatch,
+                                     path, argv, error):
+        def no_laplace(*args):
+            raise AssertionError("Laplace ran")
+
+        monkeypatch.setattr(laplace, "analyze", no_laplace)
+        doc, code = run_report(argv + ["--model", request.getfixturevalue(path)])
+        assert code == 2
+        assert doc["error"] == error
+        assert dp_passes == []
+
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "guess"])
     def test_too_short_horizon_fails_before_the_dp(self, five_step_path, neg_1d_path,
                                                    dp_passes, command):
@@ -401,6 +479,13 @@ class TestErrorsAndExitCodes:
         doc, code = run_report(["enumerate", "--model", exterior_path, "--horizon", "40"])
         assert code == 0
         assert "laplace" not in doc and "survival" in doc["sequences"]
+        assert doc["verdicts"]["survival"]["rhoSource"] == "sequence"
+        # 21 terms are too few to estimate a rate, and Laplace gave none
+        doc, code = run_report(["enumerate", "--model", exterior_path, "--horizon", "20"])
+        assert code == 0
+        verdict = doc["verdicts"]["survival"]
+        assert (verdict["rhoSource"], verdict["rhoHat"]) == ("assumed", 1.0)
+        assert "rateDiagnostics" not in verdict
 
     def test_negative_seed(self, five_step_path):
         doc, code = run_report(["analyze", "--model", five_step_path, "--horizon", "10",

@@ -225,6 +225,21 @@ class TestSimulateTilted:
         assert one.std_error == four.std_error
 
 
+class TestSurvivalEstimates:
+    def test_plain_alone_without_an_analysis(self, exterior_2d):
+        assert mc.survival_estimates(exterior_2d, None, 20, 500, 3) == [
+            simulate_survival(exterior_2d, 20, 500, seed=3)]
+
+    def test_zero_tilt_is_the_plain_computation(self, five_step_model, exterior_2d):
+        an = analyze(five_step_model.dist, five_step_model.cone)
+        plain, tilted = mc.survival_estimates(five_step_model, an, 20, 500, 3)
+        assert plain == simulate_survival(five_step_model, 20, 500, seed=3)
+        assert tilted == simulate_tilted(five_step_model, an, 20, 500, seed=3)
+        an = analyze(exterior_2d.dist, exterior_2d.cone)
+        assert mc.survival_estimates(exterior_2d, an, 20, 500, 3)[1] == simulate_tilted(
+            exterior_2d, an, 20, 500, seed=3)
+
+
 class TestPlainAgainstEscapeBounds:
     """Plain Monte Carlo of a_n against the exact escape bounds: a_n is an
     upper-biased proxy for P(tau = inf), but at these horizons the bias is

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from conewalk import (
     load_model,
     parse_model,
 )
+from conewalk import _zoo
 from conewalk._zoo import walk
 from conewalk.errors import (
     EmptyConeInterior,
@@ -43,7 +45,64 @@ FIVE_STEP_DOC = {
 }
 
 
+def _doc(**fields):
+    return json.dumps(dict(FIVE_STEP_DOC, **fields))
+
+
+# (input, error type, start of the message); a str input is a model file, a
+# callable builds a StepDistribution, which rejects what parse_model never
+# hands it
+BAD_INPUTS = {
+    "empty step set": (lambda: StepDistribution(2, ()), MalformedFile, "empty step set"),
+    "step of wrong dimension": (
+        _doc(steps=[{"v": [1, 0, 0], "w": "1/2"}, {"v": [0, 1], "w": "1/2"}]),
+        MalformedFile, "step (1, 0, 0) has wrong dimension"),
+    "non-positive weight": (
+        _doc(steps=[{"v": [1, 0], "w": "6/5"}, {"v": [0, 1], "w": "-1/5"}]),
+        MalformedFile, "non-positive weight -1/5 on step (0, 1)"),
+    "weights off one": (
+        lambda: StepDistribution(1, (((1,), F(1, 2)), ((-1,), F(1, 3)))),
+        WeightsNotNormalized, "weights sum to 5/6, expected 1"),
+    "all steps zero": (_doc(steps=[{"v": [0, 0], "w": 1}]),
+                       MalformedFile, "all step vectors are zero"),
+    "normal of wrong dimension": (
+        _doc(cone={"type": "halfspaces", "normals": [[1, 0], [0, 1, 0]]}),
+        MalformedFile, "normal (0.0, 1.0, 0.0) has wrong dimension"),
+    "start of wrong dimension": (_doc(start=[0]), MalformedFile,
+                                 "start point has wrong dimension"),
+    "cone of another dimension": (
+        _doc(cone={"type": "halfspaces", "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        MalformedFile, "cone dimension does not match step dimension"),
+    "bad rational": (_doc(steps=[{"v": [1, 0], "w": "1/0"}]),
+                     MalformedFile, "bad rational '1/0'"),
+    "top level not an object": ("[]", MalformedFile,
+                                "top-level document must be an object"),
+    "steps not a list": (_doc(steps={"v": [1, 0], "w": 1}), MalformedFile,
+                         "steps must be a non-empty list"),
+    "no steps": (_doc(steps=[]), MalformedFile, "steps must be a non-empty list"),
+    "bad step entry": (_doc(steps=[{"v": [1, 0]}]), MalformedFile, "bad step entry"),
+    "cone without type": (_doc(cone={"normals": [[1, 0], [0, 1]]}), MalformedFile,
+                          "cone must be an object with a 'type' field"),
+    "halfspaces without normals": (_doc(cone={"type": "halfspaces"}), MalformedFile,
+                                   "halfspace cone needs 'normals'"),
+    "unknown cone type": (_doc(cone={"type": "wedge"}), MalformedFile,
+                          "unknown cone type 'wedge'"),
+}
+
+
 class TestParsing:
+    @pytest.mark.parametrize("source, error, message", BAD_INPUTS.values(),
+                             ids=BAD_INPUTS.keys())
+    def test_bad_input(self, source, error, message):
+        with pytest.raises(error, match="^" + re.escape(message)) as info:
+            source() if callable(source) else parse_model(source)
+        assert type(info.value) is error
+
+    def test_integer_weights(self):
+        doc = {"dimension": 1, "steps": [{"v": [1], "w": 1}, {"v": [-1], "w": 3}],
+               "cone": {"type": "orthant"}, "start": [0]}
+        assert parse_model(json.dumps(doc), normalize=True) == _zoo.NEG_1D
+
     def test_simple_1d(self):
         doc = {"dimension": 1,
                "steps": [{"v": [1], "w": "1/2"}, {"v": [-1], "w": "1/2"}],
@@ -264,6 +323,10 @@ class TestBruteForce:
     def test_horizon_guard(self, sym_1d):
         with pytest.raises(HorizonTooLarge):
             brute_force_survival(sym_1d, 15)
+
+    def test_path_count_guard(self, five_step_model):
+        with pytest.raises(HorizonTooLarge, match="^5\\^12 paths exceed the guard"):
+            brute_force_survival(five_step_model, 12)
 
     def test_excursion_target_outside(self, five_step_model):
         with pytest.raises(PointOutsideCone):

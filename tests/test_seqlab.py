@@ -407,6 +407,19 @@ class TestPeriodAndExponent:
         with pytest.raises(AllZeroOnWindow):
             excursion_exponent_fit(terms, 0.5, (10, 40))
 
+    def test_window_from_zero_reads_from_one(self, five_step_model):
+        # log n is the abscissa, so e_0 = 1 stays out of the fit
+        terms = excursion_sequence(five_step_model, (0, 0), 12).terms
+        fit = excursion_exponent_fit(terms, 0.9, (0, 9))
+        assert fit == excursion_exponent_fit(terms, 0.9, (1, 9))
+        assert fit.indices_used[0] == 2
+
+    @pytest.mark.parametrize("window", [(0, 2), (2, 2), (1, 3)])
+    def test_one_positive_term_is_too_few(self, simple_walk_2d, window):
+        terms = excursion_sequence(simple_walk_2d, (0, 0), 12).terms
+        with pytest.raises(AllZeroOnWindow, match="got 1$"):
+            excursion_exponent_fit(terms, 1.0, window)
+
 
 class TestSequenceVerdict:
     def test_rational_sequence(self, trapped_2d):
@@ -423,3 +436,8 @@ class TestSequenceVerdict:
         assert v.rho_source == "sequence"
         assert v.rate is not None
         assert 0 < v.rho_hat < 1
+
+    def test_too_few_terms_for_a_rate(self, exterior_2d):
+        terms = survival_sequence(exterior_2d, seqlab.MIN_RATE_TERMS - 2).terms
+        v = sequence_verdict(terms, 5)
+        assert (v.rho_source, v.rho_hat, v.rate) == ("assumed", 1.0, None)
